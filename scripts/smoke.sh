@@ -17,8 +17,9 @@
 # with the full-recorded runs), a replicate-batched 4-seed grid whose
 # cache entries must replay under the plain scalar path (batched and
 # solo runs share cache keys), the scenario catalogue listing, a
-# composed-scenario (component grammar) grid on the fast path, and a
-# 2-spec divisible-load grid on the fluid engine.
+# composed-scenario (component grammar) grid on the fast path, a cold
+# 16384-node hotspot run under a timeout (placement set-up stays
+# O(k·(N+E))), and a 2-spec divisible-load grid on the fluid engine.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -98,6 +99,14 @@ python -m repro.cli run-grid --scenarios "mesh:32x32+hotspot+stragglers" \
     --algorithms pplb diffusion --seeds 1 --rounds 60 --engine rounds-fast \
     --cache-dir "$CACHE_DIR/cache" | tee "$CACHE_DIR/composed.out"
 grep -q "2 specs: 2 executed, 0 from cache" "$CACHE_DIR/composed.out"
+
+echo "==> 16384-node hotspot, cold (set-up must not build all-pairs hops)"
+# The hotspot centre comes from a few BFS passes; an all-pairs hop
+# matrix here would take ~3 GB and most of a minute, so a timeout
+# catches it coming back. (`run` never touches the result cache.)
+timeout 120 python -m repro.cli run --scenario "mesh:128x128+hotspot" \
+    --engine rounds-fast --rounds 5 > "$CACHE_DIR/hotspot_16k.out"
+grep -q "pplb on mesh:128x128+hotspot" "$CACHE_DIR/hotspot_16k.out"
 
 echo "==> fluid-engine grid (2 specs, divisible-load model)"
 python -m repro.cli run-grid --scenarios mesh-hotspot \

@@ -13,9 +13,10 @@ Installed as ``pplb`` (see pyproject). Subcommands:
 * ``pplb scenarios`` — the scenario catalogue: every registered name
   with its composed equivalent, plus the component registries and the
   composition grammar.
-* ``pplb profile SCENARIO`` — run one scenario under the trace probe
-  and print a per-phase wall-time breakdown; the Chrome trace-event
-  JSON lands on disk for chrome://tracing / Perfetto.
+* ``pplb profile SCENARIO`` — run one scenario under the counters
+  probe and print a per-phase wall-time breakdown; with ``--trace-out``
+  the Chrome trace-event JSON also lands on disk for chrome://tracing /
+  Perfetto.
 * ``pplb tune --scenarios A B`` — search the PPLB parameter space per
   scenario family (successive halving + genetic refinement through the
   cached runner; see :mod:`repro.tuning`) and save the winners into the
@@ -114,7 +115,7 @@ from repro.runner import (
     grid_seeds,
     run_grid,
 )
-from repro.sim.telemetry import DEFAULT_TRACE_PATH, probe_tag
+from repro.sim.telemetry import probe_tag
 from repro.tuning import (
     DEFAULT_BASELINES,
     DEFAULT_REGISTRY_PATH,
@@ -391,7 +392,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     spec = RunSpec(
         scenario=args.scenario, algorithm=args.algorithm, seed=args.seed,
         max_rounds=args.rounds, engine=args.engine,
-        probe=f"trace:{args.trace_out}",
+        probe=f"trace:{args.trace_out}" if args.trace_out else "counters",
     )
     started = time.perf_counter()
     result = execute_spec(spec)
@@ -741,8 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="run one scenario under the trace probe and print the "
-             "per-phase wall-time breakdown (Chrome trace JSON on disk)",
+        help="run one scenario under the counters probe and print the "
+             "per-phase wall-time breakdown (Chrome trace JSON on disk "
+             "with --trace-out)",
     )
     p_prof.add_argument("scenario", type=_scenario_arg, metavar="SCENARIO",
                         help="registered name or composed string, e.g. "
@@ -752,10 +754,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--rounds", type=int, default=500)
     p_prof.add_argument("--engine", choices=sorted(ENGINES), default="rounds",
                         help="execution model to profile")
-    p_prof.add_argument("--trace-out", default=DEFAULT_TRACE_PATH,
-                        metavar="PATH",
-                        help="where to write the Chrome trace-event JSON "
-                             "(chrome://tracing / https://ui.perfetto.dev)")
+    p_prof.add_argument("--trace-out", default=None, metavar="PATH",
+                        help="also write a Chrome trace-event JSON here "
+                             "(chrome://tracing / https://ui.perfetto.dev); "
+                             "without it nothing is written to disk")
     p_prof.add_argument("--batch-replicates", type=int, default=1,
                         metavar="N",
                         help="profile N seed replicates (seeds SEED..SEED+N-1) "

@@ -13,6 +13,9 @@ Provides the multiprocessor's communication fabric:
   the derived cost ``e_ij = d/(bw·(1−f)^(c1·d/bw))``.
 * :class:`FaultModel` — per-round transient link faults plus permanent
   link kills ("the probability of occurrence of a fault in a time unit").
+* :mod:`routing <repro.network.routing>` — BFS distance rows and exact
+  eccentricity extremes for set-up; the all-pairs hop matrix for
+  analysis only.
 """
 
 from repro.network.topology import CSRAdjacency, Topology

@@ -66,7 +66,8 @@ def torus(rows: int, cols: int | None = None) -> Topology:
             u = r * cols + c
             g.add_edge(u, r * cols + (c + 1) % cols)
             g.add_edge(u, ((r + 1) % rows) * cols + c)
-    return Topology(g, name=f"torus-{rows}x{cols}", coords=_grid_coords(rows, cols))
+    return Topology(g, name=f"torus-{rows}x{cols}", coords=_grid_coords(rows, cols),
+                    _vertex_transitive=True)
 
 
 def hypercube(dim: int) -> Topology:
@@ -108,7 +109,8 @@ def hypercube(dim: int) -> Topology:
             gray_rank(lo) / max(lo_n - 1, 1),
             gray_rank(hi) / max(hi_n - 1, 1),
         )
-    return Topology(g, name=f"hypercube-{dim}", coords=coords)
+    return Topology(g, name=f"hypercube-{dim}", coords=coords,
+                    _vertex_transitive=True)
 
 
 def ring(n: int) -> Topology:
@@ -118,7 +120,8 @@ def ring(n: int) -> Topology:
     g = nx.cycle_graph(n)
     theta = 2 * np.pi * np.arange(n) / n
     coords = 0.5 + 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
-    return Topology(g, name=f"ring-{n}", coords=coords)
+    return Topology(g, name=f"ring-{n}", coords=coords,
+                    _vertex_transitive=True)
 
 
 def star(n: int) -> Topology:
@@ -140,7 +143,8 @@ def complete(n: int) -> Topology:
     g = nx.complete_graph(n)
     theta = 2 * np.pi * np.arange(n) / n
     coords = 0.5 + 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
-    return Topology(g, name=f"complete-{n}", coords=coords)
+    return Topology(g, name=f"complete-{n}", coords=coords,
+                    _vertex_transitive=True)
 
 
 def tree(branching: int, depth: int) -> Topology:
@@ -219,7 +223,8 @@ def kary_ncube(k: int, n: int) -> Topology:
         x = sum(cu[d] * k**i for i, d in enumerate(x_dims))
         y = sum(cu[d] * k**i for i, d in enumerate(y_dims))
         coords[u] = (x / x_span, y / y_span)
-    return Topology(g, name=f"kary-{k}-{n}cube", coords=coords)
+    return Topology(g, name=f"kary-{k}-{n}cube", coords=coords,
+                    _vertex_transitive=True)
 
 
 def random_connected(n: int, avg_degree: float = 4.0, seed: RngLike = None) -> Topology:

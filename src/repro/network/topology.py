@@ -3,13 +3,19 @@
 Nodes are the integers ``0 .. n-1``. The class keeps three synchronised
 views of the same graph:
 
-* a :class:`networkx.Graph` for algorithms that want one (diameter,
-  colorings, layouts),
+* a :class:`networkx.Graph` for algorithms that want one (colorings,
+  layouts, connectivity),
 * array form — an ``(m, 2)`` edge array, per-node neighbor arrays and
   a flat :class:`CSRAdjacency` export — for the vectorised hot paths of
   the balancers,
 * a 2-D embedding (the paper's ``M2: V(G) → R²``) used for the load
   surface, for locality metrics and for ASCII rendering.
+
+Hop distances come in two forms. Placements and tuning read BFS rows
+and the exact :attr:`Topology.eccentricity_extremes` (centre,
+periphery, diameter), O(k·(N+E)) each. The all-pairs
+:attr:`Topology.hop_distances` matrix is analysis-only, built on first
+access and refused above a memory bound.
 
 Instances are immutable after construction; fault state lives in
 :class:`repro.network.faults.FaultModel`, not here.
@@ -19,12 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.exceptions import TopologyError
+
+if TYPE_CHECKING:
+    from repro.network.routing import EccentricityExtremes
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,10 @@ class Topology:
     coords:
         Optional mapping/array of 2-D coordinates per node (the ``M2``
         embedding). When omitted a spring layout is computed lazily.
+
+    Distances: placements use BFS rows and
+    :attr:`eccentricity_extremes`; the all-pairs :attr:`hop_distances`
+    matrix is for analysis only and is never built during set-up.
     """
 
     def __init__(
@@ -93,6 +107,8 @@ class Topology:
         graph: nx.Graph,
         name: str = "custom",
         coords: Mapping[int, Iterable[float]] | np.ndarray | None = None,
+        *,
+        _vertex_transitive: bool = False,
     ):
         n = graph.number_of_nodes()
         if n == 0:
@@ -107,6 +123,10 @@ class Topology:
         self._graph = nx.freeze(graph.copy())
         self.name = name
         self.n_nodes = n
+        # Set only by builders of vertex-transitive graphs (torus, ring,
+        # hypercube, complete, k-ary n-cube): every eccentricity is equal,
+        # so the eccentricity extremes need no search.
+        self._vertex_transitive = _vertex_transitive
 
         edges = np.asarray(
             sorted((min(u, v), max(u, v)) for u, v in graph.edges), dtype=np.int64
@@ -225,16 +245,42 @@ class Topology:
         return np.diag(a.sum(axis=1)) - a
 
     @cached_property
+    def csgraph(self) -> csr_matrix:
+        """SciPy sparse adjacency (unit weights) built from :attr:`csr`,
+        the input of every BFS in :mod:`repro.network.routing`."""
+        csr = self.csr
+        n = self.n_nodes
+        return csr_matrix(
+            (np.ones(csr.n_slots), csr.indices.astype(np.int32), csr.indptr.astype(np.int32)),
+            shape=(n, n),
+        )
+
+    @cached_property
+    def eccentricity_extremes(self) -> EccentricityExtremes:
+        """Most central node, most peripheral node and diameter (exact,
+        lowest-id ties; see
+        :func:`~repro.network.routing.eccentricity_extremes`)."""
+        from repro.network.routing import eccentricity_extremes
+
+        return eccentricity_extremes(self)
+
+    @cached_property
     def hop_distances(self) -> np.ndarray:
-        """All-pairs unweighted hop distances, shape ``(n, n)`` (int16)."""
+        """All-pairs unweighted hop distances, shape ``(n, n)``, int32.
+
+        Analysis only, built on first access: placements and tuning use
+        BFS rows (:func:`~repro.network.routing.bfs_distances`) instead.
+        Raises :class:`TopologyError` above
+        :data:`~repro.network.routing.HOP_MATRIX_MAX_BYTES`.
+        """
         from repro.network.routing import hop_distances
 
         return hop_distances(self)
 
     @cached_property
     def diameter(self) -> int:
-        """Graph diameter in hops."""
-        return int(self.hop_distances.max())
+        """Graph diameter in hops (no all-pairs matrix)."""
+        return self.eccentricity_extremes.diameter
 
     @cached_property
     def max_degree(self) -> int:

@@ -34,6 +34,7 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.interfaces import BalanceContext, Balancer, FluidBalancer, Migration
 from repro.network.faults import FaultModel
 from repro.network.links import LinkAttributes, link_costs
+from repro.network.routing import bfs_chunks
 from repro.network.topology import Topology
 from repro.rng import RngLike, ensure_rng
 from repro.sim.kernel import RoundDriver, RoundStats, SimulationLoop, TaskStateMixin
@@ -372,11 +373,16 @@ class Simulator(TaskStateMixin, RoundDriver):
         """
         if not self.track_journeys:
             raise ConfigurationError("journey tracking was not enabled for this run")
-        hd = self.topology.hop_distances
-        out: dict[int, int] = {}
-        for tid, origin in self.task_origin.items():
-            if self.system.is_alive(tid):
-                out[tid] = int(hd[origin, self.system.location_of(tid)])
+        live = [tid for tid in self.task_origin if self.system.is_alive(tid)]
+        by_origin: dict[int, list[int]] = {}
+        for tid in live:
+            by_origin.setdefault(self.task_origin[tid], []).append(tid)
+        out = dict.fromkeys(live, 0)
+        # BFS rows from the distinct origins only, a bounded chunk at a time.
+        for chunk, rows in bfs_chunks(self.topology, sorted(by_origin)):
+            for origin, row in zip(chunk.tolist(), rows):
+                for tid in by_origin[origin]:
+                    out[tid] = int(row[self.system.location_of(tid)])
         return out
 
 

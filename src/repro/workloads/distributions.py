@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import TaskError
+from repro.network.routing import bfs_distances
+from repro.network.topology import Topology
 from repro.rng import RngLike, ensure_rng
 from repro.tasks.generators import load_sizes
 from repro.tasks.task import TaskSystem
@@ -31,17 +33,23 @@ def _create(system: TaskSystem, nodes: np.ndarray, sizes: np.ndarray) -> list[in
     return [system.add_task(float(s), int(v)) for v, s in zip(nodes, sizes)]
 
 
-def _far_apart_centers(system: TaskSystem, k: int) -> list[int]:
-    """*k* pairwise-far nodes: greedy k-center on hop distances,
-    seeded at a peripheral node (shared by :func:`multi_hotspot` and
-    :func:`clustered`, so the two "far-apart centres" placements can
-    never diverge)."""
-    hd = system.topology.hop_distances
-    chosen = [int(np.argmax(hd.max(axis=1)))]  # a peripheral node
-    while len(chosen) < min(k, system.topology.n_nodes):
-        d_to_chosen = hd[:, chosen].min(axis=1)
-        chosen.append(int(np.argmax(d_to_chosen)))
-    return chosen
+def _far_apart_centers(topology: Topology, k: int) -> tuple[list[int], np.ndarray]:
+    """*k* pairwise-far nodes and their BFS rows, shape ``(k, n)``.
+
+    Greedy k-center on hop distances, seeded at the peripheral node:
+    each next centre is the lowest-id node farthest from those chosen,
+    tracked as a running minimum over one BFS row per centre. Shared by
+    :func:`multi_hotspot` and :func:`clustered`, so the two "far-apart
+    centres" placements can never diverge.
+    """
+    chosen = [topology.eccentricity_extremes.periphery]
+    rows = [bfs_distances(topology, chosen)[0]]
+    nearest = rows[0].copy()
+    while len(chosen) < min(k, topology.n_nodes):
+        chosen.append(int(np.argmax(nearest)))
+        rows.append(bfs_distances(topology, chosen[-1:])[0])
+        np.minimum(nearest, rows[-1], out=nearest)
+    return chosen, np.stack(rows)
 
 
 def single_hotspot(
@@ -59,8 +67,7 @@ def single_hotspot(
     rng = ensure_rng(rng)
     topo = system.topology
     if node is None:
-        ecc = topo.hop_distances.max(axis=1)
-        node = int(np.argmin(ecc))
+        node = topo.eccentricity_extremes.center
     sizes = load_sizes(n_tasks, rng, **size_kwargs)
     return _create(system, np.full(n_tasks, node), sizes)
 
@@ -86,7 +93,7 @@ def multi_hotspot(
     if nodes is None:
         if n_spots < 1:
             raise TaskError(f"n_spots must be >= 1, got {n_spots}")
-        nodes = _far_apart_centers(system, n_spots)
+        nodes, _ = _far_apart_centers(topo, n_spots)
     if not nodes:
         raise TaskError("hotspot node list must be non-empty")
     k = len(nodes)
@@ -145,9 +152,8 @@ def gaussian_blob(
     rng = ensure_rng(rng)
     topo = system.topology
     if center is None:
-        ecc = topo.hop_distances.max(axis=1)
-        center = int(np.argmin(ecc))
-    d = topo.hop_distances[center].astype(np.float64)
+        center = topo.eccentricity_extremes.center
+    d = bfs_distances(topo, [center])[0].astype(np.float64)
     p = np.exp(-0.5 * (d / sigma_hops) ** 2)
     p /= p.sum()
     nodes = rng.choice(topo.n_nodes, size=n_tasks, p=p)
@@ -176,8 +182,8 @@ def clustered(
         raise TaskError(f"sigma_hops must be positive, got {sigma_hops}")
     rng = ensure_rng(rng)
     topo = system.topology
-    centers = _far_apart_centers(system, n_clusters)
-    d = topo.hop_distances[centers].astype(np.float64)  # (k, n) hops
+    _, rows = _far_apart_centers(topo, n_clusters)
+    d = rows.astype(np.float64)  # (k, n) hops
     p = np.exp(-0.5 * (d / sigma_hops) ** 2).sum(axis=0)
     p /= p.sum()
     nodes = rng.choice(topo.n_nodes, size=n_tasks, p=p)

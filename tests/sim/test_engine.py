@@ -10,7 +10,7 @@ from repro.network import FaultModel, LinkAttributes, mesh
 from repro.sim import Simulator
 from repro.sim.engine import ConvergenceCriteria
 from repro.tasks import TaskSystem
-from repro.workloads import DynamicWorkload, single_hotspot
+from repro.workloads import DynamicWorkload, multi_hotspot, single_hotspot
 
 
 class ScriptedBalancer(Balancer):
@@ -152,6 +152,24 @@ class TestAccounting:
         assert sim.task_hops[tid] == 2
         disp = sim.journey_displacements()
         assert disp[tid] == 2  # 0 -> 2 is two hops on the mesh
+
+    def test_journey_displacements_match_hop_matrix(self):
+        topo = mesh(8)
+        system = TaskSystem(topo)
+        multi_hotspot(system, 192, rng=3, n_spots=3)
+        sim = Simulator(topo, system, ParticlePlaneBalancer(PPLBConfig()),
+                        seed=3, track_journeys=True)
+        sim.run(max_rounds=60)
+        hd = topo.hop_distances
+        expected = {
+            tid: int(hd[origin, system.location_of(tid)])
+            for tid, origin in sim.task_origin.items()
+            if system.is_alive(tid)
+        }
+        disp = sim.journey_displacements()
+        assert list(disp.items()) == list(expected.items())
+        assert len(set(sim.task_origin.values())) == 3
+        assert max(disp.values()) >= 2
 
     def test_journey_tracking_requires_flag(self, mesh4):
         system = TaskSystem(mesh4)

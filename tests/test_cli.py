@@ -355,6 +355,16 @@ class TestProfileCommand:
         assert events and all(e["ph"] == "X" for e in events)
         assert {"play_round", "wake_wave"} <= {e["name"] for e in events}
 
+    def test_profile_without_trace_out_writes_no_file(self, capsys, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["profile", "mesh:8x8+hotspot", "--rounds", "20"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "per-phase wall time (counters probe)" in out
+        assert "trace written" not in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_profile_requires_a_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile"])

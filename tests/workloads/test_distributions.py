@@ -15,6 +15,7 @@ from repro.workloads import (
     single_hotspot,
     uniform_random,
 )
+from repro.workloads.scenarios import build_scenario
 
 
 def fresh(topo):
@@ -128,3 +129,15 @@ class TestClustered:
         clustered(a, 64, rng=3)
         clustered(b, 64, rng=3)
         np.testing.assert_allclose(a.node_loads, b.node_loads)
+
+
+class TestSetupNeedsNoHopMatrix:
+    """Placements read BFS rows; the all-pairs matrix stays unbuilt."""
+
+    @pytest.mark.parametrize(
+        "placement", ["hotspot", "blob", "clustered", "valleys", "two-valleys"]
+    )
+    def test_placement_leaves_hop_matrix_unbuilt(self, placement):
+        scenario = build_scenario(f"mesh:16x16+{placement}", seed=0)
+        assert scenario.system.n_tasks > 0
+        assert "hop_distances" not in scenario.topology.__dict__
