@@ -19,7 +19,8 @@
 # solo runs share cache keys), the scenario catalogue listing, a
 # composed-scenario (component grammar) grid on the fast path, a cold
 # 16384-node hotspot run under a timeout (placement set-up stays
-# O(k·(N+E))), and a 2-spec divisible-load grid on the fluid engine.
+# O(k·(N+E))), a cold 65536-node uniform run under a timeout, and a
+# 2-spec divisible-load grid on the fluid engine.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -107,6 +108,14 @@ echo "==> 16384-node hotspot, cold (set-up must not build all-pairs hops)"
 timeout 120 python -m repro.cli run --scenario "mesh:128x128+hotspot" \
     --engine rounds-fast --rounds 5 > "$CACHE_DIR/hotspot_16k.out"
 grep -q "pplb on mesh:128x128+hotspot" "$CACHE_DIR/hotspot_16k.out"
+
+echo "==> 65536-node uniform mesh, cold (array-first topology, bulk placement)"
+# 524288 tasks on a 256x256 mesh: the topology is built from NumPy edge
+# arrays and the tasks are placed in one bulk call, so set-up takes well
+# under a second and three rounds fit easily in the timeout.
+timeout 60 python -m repro.cli run --scenario "mesh:256x256+uniform" \
+    --engine rounds-fast --rounds 3 > "$CACHE_DIR/uniform_64k.out"
+grep -q "pplb on mesh:256x256+uniform" "$CACHE_DIR/uniform_64k.out"
 
 echo "==> fluid-engine grid (2 specs, divisible-load model)"
 python -m repro.cli run-grid --scenarios mesh-hotspot \

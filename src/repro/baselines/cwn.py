@@ -51,6 +51,7 @@ class ContractingWithinNeighborhood(Balancer):
     def step(self, ctx: BalanceContext) -> list[Migration]:
         h = np.array(ctx.system.node_loads)
         used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        csr = ctx.topology.csr
         planned: set[int] = set()
         migrations: list[Migration] = []
         order = np.argsort(-h, kind="stable")
@@ -58,17 +59,14 @@ class ContractingWithinNeighborhood(Balancer):
             i = int(i)
             if h[i] <= 0:
                 break
-            js = ctx.topology.neighbors(i)
-            best_j = -1
+            best_j = best_eid = -1
             best_h = np.inf
-            for j in js:
-                j = int(j)
-                eid = ctx.topology.edge_id(i, j)
+            for j, eid in zip(csr.neighbors(i).tolist(), csr.incident_edges(i).tolist()):
                 if not free_and_up(ctx, used, eid):
                     continue
                 if h[j] < best_h:
                     best_h = float(h[j])
-                    best_j = j
+                    best_j, best_eid = j, eid
             if best_j < 0 or h[i] - best_h <= self.threshold:
                 continue
             # Send the largest task still within its contracting radius
@@ -84,9 +82,8 @@ class ContractingWithinNeighborhood(Balancer):
                     break
             if tid is None:
                 continue
-            eid = ctx.topology.edge_id(i, best_j)
             migrations.append(Migration(tid, i, best_j))
-            used[eid] = True
+            used[best_eid] = True
             planned.add(tid)
             self._hops[tid] = self._hops.get(tid, 0) + 1
             load = ctx.system.load_of(tid)

@@ -18,7 +18,6 @@ single task across the active edge per round.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.baselines.base import free_and_up, pick_task_for_quota
@@ -39,6 +38,8 @@ def edge_coloring(topology: Topology) -> tuple[np.ndarray, int]:
         for k, (u, v) in enumerate(topology.edges):
             colors[k] = int(u ^ v).bit_length() - 1
         return colors, int(colors.max()) + 1
+
+    import networkx as nx
 
     line = nx.line_graph(topology.graph)
     coloring = nx.coloring.greedy_color(line, strategy="largest_first")

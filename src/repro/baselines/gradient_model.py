@@ -99,23 +99,21 @@ class GradientModel(Balancer):
             return []
 
         used = np.zeros(ctx.topology.n_edges, dtype=bool)
+        csr = ctx.topology.csr
         planned: set[int] = set()
         migrations: list[Migration] = []
         # Heaviest nodes first (deterministic; ties by id via stable sort).
         for i in heavy_nodes[np.argsort(-h[heavy_nodes], kind="stable")]:
             i = int(i)
-            js = ctx.topology.neighbors(i)
-            best_j = -1
+            best_j = best_eid = -1
             best_key = (np.inf, np.inf)
-            for j in js:
-                j = int(j)
-                eid = ctx.topology.edge_id(i, j)
+            for j, eid in zip(csr.neighbors(i).tolist(), csr.incident_edges(i).tolist()):
                 if not free_and_up(ctx, used, eid):
                     continue
                 key = (float(prox[j]), float(h[j]))
                 if key < best_key:
                     best_key = key
-                    best_j = j
+                    best_j, best_eid = j, eid
             if best_j < 0 or not np.isfinite(best_key[0]):
                 continue
             # GM moves one unit of work down the pressure gradient: take
@@ -130,9 +128,8 @@ class GradientModel(Balancer):
                     break
             if tid is None:
                 continue
-            eid = ctx.topology.edge_id(i, best_j)
             migrations.append(Migration(tid, i, best_j))
-            used[eid] = True
+            used[best_eid] = True
             planned.add(tid)
             load = ctx.system.load_of(tid)
             h[i] -= load

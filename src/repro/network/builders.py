@@ -10,7 +10,6 @@ out the test matrix.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import TopologyError
@@ -18,13 +17,21 @@ from repro.network.topology import Topology
 from repro.rng import RngLike, ensure_rng
 
 
+def _listed_links(nbrs: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+    """Links ``(u, nbrs[u, j])`` for every *valid* slot, listed node by
+    node and slot by slot — the order a ``for u: for j:`` loop adds them."""
+    src = np.broadcast_to(np.arange(nbrs.shape[0])[:, None], nbrs.shape)
+    if valid is not None:
+        src, nbrs = src[valid], nbrs[valid]
+    return np.column_stack([src.ravel(), nbrs.ravel()])
+
+
 def _grid_coords(rows: int, cols: int) -> np.ndarray:
     """Unit-square coordinates for a rows×cols grid, row-major node ids."""
-    coords = np.zeros((rows * cols, 2), dtype=np.float64)
-    for r in range(rows):
-        for c in range(cols):
-            coords[r * cols + c] = (c / max(cols - 1, 1), r / max(rows - 1, 1))
-    return coords
+    coords = np.empty((rows, cols, 2), dtype=np.float64)
+    coords[:, :, 0] = np.arange(cols) / max(cols - 1, 1)
+    coords[:, :, 1] = (np.arange(rows) / max(rows - 1, 1))[:, None]
+    return coords.reshape(rows * cols, 2)
 
 
 def mesh(rows: int, cols: int | None = None) -> Topology:
@@ -37,16 +44,12 @@ def mesh(rows: int, cols: int | None = None) -> Topology:
         cols = rows
     if rows < 1 or cols < 1:
         raise TopologyError(f"mesh dimensions must be >= 1, got {rows}x{cols}")
-    g = nx.Graph()
-    g.add_nodes_from(range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(u, u + 1)
-            if r + 1 < rows:
-                g.add_edge(u, u + cols)
-    return Topology(g, name=f"mesh-{rows}x{cols}", coords=_grid_coords(rows, cols))
+    u = np.arange(rows * cols)
+    r, c = np.divmod(u, cols)
+    nbrs = np.column_stack([u + 1, u + cols])
+    valid = np.column_stack([c + 1 < cols, r + 1 < rows])
+    return Topology(_listed_links(nbrs, valid), name=f"mesh-{rows}x{cols}",
+                    coords=_grid_coords(rows, cols), n_nodes=rows * cols)
 
 
 def torus(rows: int, cols: int | None = None) -> Topology:
@@ -59,15 +62,21 @@ def torus(rows: int, cols: int | None = None) -> Topology:
         cols = rows
     if rows < 3 or cols < 3:
         raise TopologyError(f"torus dimensions must be >= 3, got {rows}x{cols}")
-    g = nx.Graph()
-    g.add_nodes_from(range(rows * cols))
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            g.add_edge(u, r * cols + (c + 1) % cols)
-            g.add_edge(u, ((r + 1) % rows) * cols + c)
-    return Topology(g, name=f"torus-{rows}x{cols}", coords=_grid_coords(rows, cols),
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    nbrs = np.column_stack([r * cols + (c + 1) % cols, ((r + 1) % rows) * cols + c])
+    return Topology(_listed_links(nbrs), name=f"torus-{rows}x{cols}",
+                    coords=_grid_coords(rows, cols), n_nodes=rows * cols,
                     _vertex_transitive=True)
+
+
+def _gray_rank(x: np.ndarray) -> np.ndarray:
+    """Position of each Gray code in *x* along the Gray sequence."""
+    rank = np.zeros_like(x)
+    x = x.copy()
+    while x.any():
+        rank ^= x
+        x >>= 1
+    return rank
 
 
 def hypercube(dim: int) -> Topology:
@@ -81,98 +90,75 @@ def hypercube(dim: int) -> Topology:
     if dim < 1:
         raise TopologyError(f"hypercube dimension must be >= 1, got {dim}")
     n = 1 << dim
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for u in range(n):
-        for b in range(dim):
-            v = u ^ (1 << b)
-            if v > u:
-                g.add_edge(u, v)
+    u = np.arange(n)
+    nbrs = u[:, None] ^ (1 << np.arange(dim))
+    links = _listed_links(nbrs, nbrs > u[:, None])
 
-    half = dim // 2
-    lo_bits, hi_bits = half, dim - half
-    lo_n, hi_n = 1 << lo_bits, 1 << hi_bits
-
-    def gray_rank(x: int) -> int:
-        # position of Gray code x along the Gray sequence
-        r = 0
-        while x:
-            r ^= x
-            x >>= 1
-        return r
-
-    coords = np.zeros((n, 2), dtype=np.float64)
-    for u in range(n):
-        lo = u & (lo_n - 1)
-        hi = u >> lo_bits
-        coords[u] = (
-            gray_rank(lo) / max(lo_n - 1, 1),
-            gray_rank(hi) / max(hi_n - 1, 1),
-        )
-    return Topology(g, name=f"hypercube-{dim}", coords=coords,
+    lo_bits = dim // 2
+    lo_n, hi_n = 1 << lo_bits, 1 << (dim - lo_bits)
+    coords = np.column_stack([
+        _gray_rank(u & (lo_n - 1)) / max(lo_n - 1, 1),
+        _gray_rank(u >> lo_bits) / max(hi_n - 1, 1),
+    ])
+    return Topology(links, name=f"hypercube-{dim}", coords=coords, n_nodes=n,
                     _vertex_transitive=True)
+
+
+def _circle_coords(n: int) -> np.ndarray:
+    theta = 2 * np.pi * np.arange(n) / n
+    return 0.5 + 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def ring(n: int) -> Topology:
     """Cycle of *n* >= 3 nodes, embedded on the unit circle."""
     if n < 3:
         raise TopologyError(f"ring needs at least 3 nodes, got {n}")
-    g = nx.cycle_graph(n)
-    theta = 2 * np.pi * np.arange(n) / n
-    coords = 0.5 + 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
-    return Topology(g, name=f"ring-{n}", coords=coords,
-                    _vertex_transitive=True)
+    u = np.arange(n)
+    return Topology(np.column_stack([u, (u + 1) % n]), name=f"ring-{n}",
+                    coords=_circle_coords(n), n_nodes=n, _vertex_transitive=True)
 
 
 def star(n: int) -> Topology:
     """Star: node 0 is the hub connected to ``n-1`` leaves."""
     if n < 2:
         raise TopologyError(f"star needs at least 2 nodes, got {n}")
-    g = nx.star_graph(n - 1)
+    leaves = np.arange(1, n)
     coords = np.zeros((n, 2), dtype=np.float64)
     coords[0] = (0.5, 0.5)
     theta = 2 * np.pi * np.arange(n - 1) / max(n - 1, 1)
     coords[1:] = 0.5 + 0.45 * np.column_stack([np.cos(theta), np.sin(theta)])
-    return Topology(g, name=f"star-{n}", coords=coords)
+    return Topology(np.column_stack([np.zeros_like(leaves), leaves]),
+                    name=f"star-{n}", coords=coords, n_nodes=n)
 
 
 def complete(n: int) -> Topology:
     """Complete graph: the LAN-style 'all nodes adjacent' setting of §1."""
     if n < 2:
         raise TopologyError(f"complete graph needs at least 2 nodes, got {n}")
-    g = nx.complete_graph(n)
-    theta = 2 * np.pi * np.arange(n) / n
-    coords = 0.5 + 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
-    return Topology(g, name=f"complete-{n}", coords=coords,
-                    _vertex_transitive=True)
+    return Topology(np.column_stack(np.triu_indices(n, k=1)), name=f"complete-{n}",
+                    coords=_circle_coords(n), n_nodes=n, _vertex_transitive=True)
 
 
 def tree(branching: int, depth: int) -> Topology:
-    """Complete *branching*-ary tree of the given *depth* (root = node 0)."""
+    """Complete *branching*-ary tree of the given *depth* (root = node 0).
+
+    Nodes are numbered level by level, so node ``v``'s parent is
+    ``(v - 1) // branching``; each level is laid out left to right.
+    """
     if branching < 1 or depth < 0:
         raise TopologyError(f"invalid tree parameters: branching={branching}, depth={depth}")
-    g = nx.balanced_tree(branching, depth)
-    n = g.number_of_nodes()
+    widths = [branching**lvl for lvl in range(depth + 1)]
+    n = sum(widths)
+    child = np.arange(1, n)
     coords = np.zeros((n, 2), dtype=np.float64)
-    # BFS layering for y; in-layer index for x.
-    from collections import deque
-
-    level: dict[int, int] = {0: 0}
-    order: list[list[int]] = [[0]]
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for v in g.neighbors(u):
-            if v not in level:
-                level[v] = level[u] + 1
-                while len(order) <= level[v]:
-                    order.append([])
-                order[level[v]].append(v)
-                q.append(v)
-    for lvl, nodes in enumerate(order):
-        for k, u in enumerate(nodes):
-            coords[u] = ((k + 0.5) / len(nodes), 1.0 - lvl / max(depth, 1))
-    return Topology(g, name=f"tree-{branching}ary-d{depth}", coords=coords)
+    start = 0
+    for lvl, width in enumerate(widths):
+        level = coords[start:start + width]
+        level[:, 0] = (np.arange(width) + 0.5) / width
+        level[:, 1] = 1.0 - lvl / max(depth, 1)
+        start += width
+    return Topology(np.column_stack([(child - 1) // branching, child]),
+                    name=f"tree-{branching}ary-d{depth}", coords=coords, n_nodes=n)
 
 
 def kary_ncube(k: int, n: int) -> Topology:
@@ -194,37 +180,19 @@ def kary_ncube(k: int, n: int) -> Topology:
     if k < 3:
         raise TopologyError(f"need k >= 3 (or exactly 2 for the hypercube), got {k}")
     total = k**n
-    g = nx.Graph()
-    g.add_nodes_from(range(total))
-
-    def coords_of(u: int) -> list[int]:
-        out = []
-        for _ in range(n):
-            out.append(u % k)
-            u //= k
-        return out
-
-    for u in range(total):
-        cu = coords_of(u)
-        for d in range(n):
-            cv = list(cu)
-            cv[d] = (cv[d] + 1) % k
-            v = sum(c * k**i for i, c in enumerate(cv))
-            g.add_edge(u, v)
+    u = np.arange(total)
+    place = k ** np.arange(n)
+    digits = (u[:, None] // place) % k  # (total, n): coordinate d of node u
+    nbrs = u[:, None] + ((digits + 1) % k - digits) * place
 
     # 2-D embedding: even dimensions -> x, odd dimensions -> y.
-    coords = np.zeros((total, 2), dtype=np.float64)
-    x_dims = list(range(0, n, 2))
-    y_dims = list(range(1, n, 2))
-    x_span = max(k ** len(x_dims) - 1, 1)
-    y_span = max(k ** len(y_dims) - 1, 1)
-    for u in range(total):
-        cu = coords_of(u)
-        x = sum(cu[d] * k**i for i, d in enumerate(x_dims))
-        y = sum(cu[d] * k**i for i, d in enumerate(y_dims))
-        coords[u] = (x / x_span, y / y_span)
-    return Topology(g, name=f"kary-{k}-{n}cube", coords=coords,
-                    _vertex_transitive=True)
+    x_dims, y_dims = digits[:, 0::2], digits[:, 1::2]
+    x = x_dims @ (k ** np.arange(x_dims.shape[1]))
+    y = y_dims @ (k ** np.arange(y_dims.shape[1]))
+    coords = np.column_stack([x / max(k ** x_dims.shape[1] - 1, 1),
+                              y / max(k ** y_dims.shape[1] - 1, 1)])
+    return Topology(_listed_links(nbrs), name=f"kary-{k}-{n}cube", coords=coords,
+                    n_nodes=total, _vertex_transitive=True)
 
 
 def random_connected(n: int, avg_degree: float = 4.0, seed: RngLike = None) -> Topology:
@@ -237,6 +205,8 @@ def random_connected(n: int, avg_degree: float = 4.0, seed: RngLike = None) -> T
     """
     if n < 2:
         raise TopologyError(f"random topology needs at least 2 nodes, got {n}")
+    import networkx as nx
+
     rng = ensure_rng(seed)
     p = min(max(avg_degree / max(n - 1, 1), 0.0), 1.0)
     g = nx.Graph()

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.network.links import LinkAttributes
@@ -108,12 +109,14 @@ class FaultModel:
             self._transient_down[:] = False
 
     def _would_disconnect(self, down: dict[int, int | None]) -> bool:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.topology.n_nodes))
-        for k, (u, v) in enumerate(self.topology.edges):
-            if k not in down:
-                g.add_edge(int(u), int(v))
-        return not nx.is_connected(g)
+        """Whether the links still up leave the network in pieces
+        (connected components over the edge array minus the downed ids)."""
+        n = self.topology.n_nodes
+        up = np.ones(self.topology.n_edges, dtype=bool)
+        up[list(down)] = False
+        u, v = self.topology.edges[up].T
+        g = csr_matrix((np.ones(u.shape[0]), (u, v)), shape=(n, n))
+        return connected_components(g, directed=False)[0] > 1
 
     # ------------------------------------------------------------------ #
 

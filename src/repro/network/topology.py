@@ -1,15 +1,21 @@
 """Topology: the interconnection graph ``G(V, E)`` (paper §4.2).
 
-Nodes are the integers ``0 .. n-1``. The class keeps three synchronised
-views of the same graph:
+Nodes are the integers ``0 .. n-1``. The class is array-first: it is
+built from an ``(m, 2)`` edge array, validated and sorted into edge-id
+order once, and keeps
 
-* a :class:`networkx.Graph` for algorithms that want one (colorings,
-  layouts, connectivity),
-* array form — an ``(m, 2)`` edge array, per-node neighbor arrays and
-  a flat :class:`CSRAdjacency` export — for the vectorised hot paths of
-  the balancers,
+* a flat :class:`CSRAdjacency` — the per-node neighbor lists and edge
+  ids of the vectorised hot paths — with the degree vector and
+  :meth:`Topology.neighbors` as read-only views of it,
+* a sorted edge-key array behind :meth:`Topology.edge_id` /
+  :meth:`Topology.has_edge` (binary search, no per-edge dict),
 * a 2-D embedding (the paper's ``M2: V(G) → R²``) used for the load
   surface, for locality metrics and for ASCII rendering.
+
+A frozen :class:`networkx.Graph` is built only when something asks for
+:attr:`Topology.graph` (edge colourings, spring layouts, user code);
+``networkx`` is imported on that path alone, so building and running a
+lattice scenario never loads it.
 
 Hop distances come in two forms. Placements and tuning read BFS rows
 and the exact :attr:`Topology.eccentricity_extremes` (centre,
@@ -23,17 +29,20 @@ Instances are immutable after construction; fault state lives in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import TopologyError
 
 if TYPE_CHECKING:
+    import networkx as nx
+
     from repro.network.routing import EccentricityExtremes
 
 
@@ -88,14 +97,25 @@ class Topology:
 
     Parameters
     ----------
-    graph:
-        Connected undirected graph whose nodes are exactly
-        ``range(n)``. Self-loops are rejected.
+    source:
+        Either an ``(m, 2)`` integer edge array (then *n_nodes* is
+        required) or a :class:`networkx.Graph` whose nodes are exactly
+        ``range(n)``. A graph is converted to its edge array at the door,
+        so both kinds of input pass the same validation: endpoints in
+        range, no self-loops, no duplicate links, connected.
     name:
         Human-readable identifier (used in benchmark tables).
     coords:
         Optional mapping/array of 2-D coordinates per node (the ``M2``
         embedding). When omitted a spring layout is computed lazily.
+    n_nodes:
+        Node count of an edge-array *source* (isolated nodes cannot be
+        inferred from edges).
+
+    Edge ids are positions in the lexicographically sorted edge array
+    :attr:`edges`, whatever order *source* lists the links in; that
+    listing order is kept only to rebuild :attr:`graph` exactly as the
+    builder would have assembled it.
 
     Distances: placements use BFS rows and
     :attr:`eccentricity_extremes`; the all-pairs :attr:`hop_distances`
@@ -104,23 +124,29 @@ class Topology:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        source: np.ndarray | nx.Graph,
         name: str = "custom",
         coords: Mapping[int, Iterable[float]] | np.ndarray | None = None,
         *,
+        n_nodes: int | None = None,
         _vertex_transitive: bool = False,
     ):
-        n = graph.number_of_nodes()
-        if n == 0:
+        graph = None
+        if isinstance(source, np.ndarray):
+            if n_nodes is None:
+                raise TopologyError("an edge-array topology needs n_nodes")
+            n, listed = int(n_nodes), source
+        else:
+            graph = source
+            n = graph.number_of_nodes()
+            if set(graph.nodes) != set(range(n)):
+                raise TopologyError(
+                    "graph nodes must be exactly 0..n-1; relabel before wrapping"
+                )
+            listed = np.array(list(graph.edges), dtype=np.int64)
+        if n < 1:
             raise TopologyError("topology must have at least one node")
-        if set(graph.nodes) != set(range(n)):
-            raise TopologyError("graph nodes must be exactly 0..n-1; relabel before wrapping")
-        if any(u == v for u, v in graph.edges):
-            raise TopologyError("self-loops are not allowed")
-        if n > 1 and not nx.is_connected(graph):
-            raise TopologyError("topology must be connected")
 
-        self._graph = nx.freeze(graph.copy())
         self.name = name
         self.n_nodes = n
         # Set only by builders of vertex-transitive graphs (torus, ring,
@@ -128,24 +154,19 @@ class Topology:
         # so the eccentricity extremes need no search.
         self._vertex_transitive = _vertex_transitive
 
-        edges = np.asarray(
-            sorted((min(u, v), max(u, v)) for u, v in graph.edges), dtype=np.int64
-        ).reshape(-1, 2)
-        self.edges = edges
-        self.n_edges = edges.shape[0]
+        self.edges, self._edge_keys, self._listing = _sorted_edges(listed, n)
+        self.n_edges = self.edges.shape[0]
+        self.csr = _build_csr(self.edges, n)
+        self.degree = self.csr.degrees()
+        self.degree.flags.writeable = False
+        if n > 1 and connected_components(self.csgraph, directed=False)[0] > 1:
+            raise TopologyError("topology must be connected")
+        if graph is not None:
+            # The caller's own graph (adjacency order included) stands in
+            # for the lazily rebuilt one.
+            import networkx as nx
 
-        # Per-node neighbor arrays (sorted), and degree vector.
-        nbr: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            nbr[u].append(int(v))
-            nbr[v].append(int(u))
-        self._neighbors = [np.asarray(sorted(ns), dtype=np.int64) for ns in nbr]
-        self.degree = np.asarray([len(ns) for ns in nbr], dtype=np.int64)
-
-        # Edge lookup: (min, max) -> edge index, for per-edge attribute arrays.
-        self._edge_index: dict[tuple[int, int], int] = {
-            (int(u), int(v)): k for k, (u, v) in enumerate(edges)
-        }
+            self.__dict__["graph"] = nx.freeze(graph.copy())
 
         if coords is not None:
             arr = np.zeros((n, 2), dtype=np.float64)
@@ -166,16 +187,29 @@ class Topology:
     # Views
     # ------------------------------------------------------------------ #
 
-    @property
+    @cached_property
     def graph(self) -> nx.Graph:
-        """The (frozen) networkx view of the topology."""
-        return self._graph
+        """The frozen networkx view of the topology, built on first access.
+
+        Links are inserted in the order the builder listed them and the
+        graph is then copied, exactly as a builder-made graph was copied
+        on the way in. The adjacency order, and with it anything
+        networkx derives from it (such as a greedy colouring), is
+        therefore the same as if the graph had been stored all along.
+        """
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_nodes_from(range(self.n_nodes))
+        listed = self.edges if self._listing is None else self.edges[self._listing]
+        g.add_edges_from(listed.tolist())
+        return nx.freeze(g.copy())
 
     def neighbors(self, node: int) -> np.ndarray:
-        """Sorted neighbor ids of *node* (read-only array)."""
+        """Sorted neighbor ids of *node* (read-only view into :attr:`csr`)."""
         if not 0 <= node < self.n_nodes:
             raise TopologyError(f"node {node} out of range [0, {self.n_nodes})")
-        return self._neighbors[node]
+        return self.csr.neighbors(node)
 
     @property
     def coords(self) -> np.ndarray:
@@ -185,50 +219,40 @@ class Topology:
         not supply natural coordinates.
         """
         if self._coords is None:
-            pos = nx.spring_layout(self._graph, seed=0)
+            import networkx as nx
+
+            pos = nx.spring_layout(self.graph, seed=0)
             self._coords = np.asarray([pos[i] for i in range(self.n_nodes)], dtype=np.float64)
         return self._coords
 
+    def _find_edge(self, u: int, v: int) -> int:
+        """Edge id of ``{u, v}``, or ``-1`` when it is not a link."""
+        u, v = int(u), int(v)
+        if u > v:
+            u, v = v, u
+        if u < 0 or v >= self.n_nodes:
+            return -1
+        key = u * self.n_nodes + v
+        # Bisecting a memoryview compares plain Python ints: about twice
+        # as fast as a scalar ndarray.searchsorted on this per-transfer path.
+        keys = memoryview(self._edge_keys)
+        k = bisect_left(keys, key)
+        return k if k < self.n_edges and keys[k] == key else -1
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is a link of the network."""
-        return (min(u, v), max(u, v)) in self._edge_index
+        return self._find_edge(u, v) >= 0
 
     def edge_id(self, u: int, v: int) -> int:
         """Index of edge ``{u, v}`` into :attr:`edges` / per-edge arrays."""
-        key = (min(int(u), int(v)), max(int(u), int(v)))
-        try:
-            return self._edge_index[key]
-        except KeyError:
+        eid = self._find_edge(u, v)
+        if eid < 0:
             raise TopologyError(f"no edge between {u} and {v} in topology '{self.name}'")
+        return eid
 
     # ------------------------------------------------------------------ #
     # Derived structure (cached)
     # ------------------------------------------------------------------ #
-
-    @cached_property
-    def csr(self) -> CSRAdjacency:
-        """CSR/array export of the adjacency (see :class:`CSRAdjacency`).
-
-        Built fully vectorised (no per-node Python loop), so it is cheap
-        even for the large-N topologies; the arrays are marked read-only
-        because every consumer shares them.
-        """
-        n = self.n_nodes
-        m = self.n_edges
-        if m == 0:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            empty = np.empty(0, dtype=np.int64)
-            return CSRAdjacency(indptr, empty, empty.copy(), empty.copy())
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        eids = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
-        order = np.lexsort((cols, rows))
-        rows, cols, eids = rows[order], cols[order], eids[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        for arr in (indptr, cols, eids, rows):
-            arr.flags.writeable = False
-        return CSRAdjacency(indptr, cols, eids, rows)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -303,3 +327,63 @@ class Topology:
 
     def __hash__(self) -> int:
         return hash((self.n_nodes, self.edges.tobytes()))
+
+
+def _sorted_edges(listed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Validate *listed* links over nodes ``0..n-1`` and sort them.
+
+    Returns ``(edges, keys, listing)``: the ``(m, 2)`` edge array with
+    ``u < v`` per row in lexicographic order (read-only), its sorted
+    int64 keys ``u·n + v`` (the :meth:`Topology.edge_id` lookup table),
+    and the edge ids in the order *listed* gave them — ``None`` when
+    that already was the sorted order, as it is for the lattice
+    builders.
+    """
+    arr = np.asarray(listed)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise TopologyError(f"edge array must have shape (m, 2), got {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise TopologyError(f"edge array must hold integer node ids, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise TopologyError(f"edge endpoints must be nodes 0..{n - 1}")
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    if (lo == hi).any():
+        raise TopologyError("self-loops are not allowed")
+    keys = lo * n + hi
+    listing = None
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys, lo, hi = keys[order], lo[order], hi[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise TopologyError("duplicate edges are not allowed")
+        listing = np.empty_like(order)
+        listing[order] = np.arange(order.size)
+    edges = np.column_stack([lo, hi])
+    for a in (edges, keys):
+        a.flags.writeable = False
+    return edges, keys, listing
+
+
+def _build_csr(edges: np.ndarray, n: int) -> CSRAdjacency:
+    """CSR export of sorted *edges* (see :class:`CSRAdjacency`).
+
+    One stable sort by row over the reversed links followed by the
+    forward ones: within a row the lower neighbors (in edge order, so
+    ascending) precede the higher ones (ascending too), which is the
+    sorted-neighbor order without a second sort key.
+    """
+    m = edges.shape[0]
+    rows = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    cols = np.concatenate([edges[:, 0], edges[:, 1]])[order]
+    eids = np.concatenate([np.arange(m, dtype=np.int64)] * 2)[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    for arr in (indptr, cols, eids, rows):
+        arr.flags.writeable = False
+    return CSRAdjacency(indptr, cols, eids, rows)

@@ -25,6 +25,7 @@ max−min spread drops below ``spread_tol``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -202,7 +203,11 @@ class Simulator(TaskStateMixin, RoundDriver):
         self.task_origin: dict[int, int] = {}
         self._rounds_done = 0  # global round counter across chained runs
         self.probe = make_probe(probe)
-        self._loop = SimulationLoop(self, recorder=recorder, probe=self.probe)
+        # The loop reaches its engine through a weak proxy: no sim <-> loop
+        # cycle, so a finished run's arrays are freed by refcount, not
+        # whenever the cyclic collector next runs.
+        self._loop = SimulationLoop(weakref.proxy(self), recorder=recorder,
+                                    probe=self.probe)
 
     # ------------------------------------------------------------------ #
 
@@ -448,7 +453,8 @@ class FluidSimulator(RoundDriver):
         self.dynamic = None
         self._all_up = np.ones(topology.n_edges, dtype=bool)
         self.probe = make_probe(probe)
-        self._loop = SimulationLoop(self, recorder=recorder, probe=self.probe)
+        self._loop = SimulationLoop(weakref.proxy(self), recorder=recorder,
+                                    probe=self.probe)
 
     def _context(self, round_index: int) -> BalanceContext:
         # Fluid mode has no TaskSystem; balancers must not touch ctx.system.

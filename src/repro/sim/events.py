@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import heapq
 import time
+import weakref
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -281,7 +282,8 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         self.wakes_per_node = np.zeros(n, dtype=np.int64)
         self.now = 0.0
         self.probe = make_probe(probe)
-        self._loop = SimulationLoop(self, recorder=recorder, probe=self.probe)
+        self._loop = SimulationLoop(weakref.proxy(self), recorder=recorder,
+                                    probe=self.probe)
 
     # ------------------------------------------------------------------ #
 

@@ -92,6 +92,17 @@ def load_sizes(
     return sizes
 
 
+def _place(system: TaskSystem, sizes: np.ndarray, placement: PlacementFn) -> list[int]:
+    """Create one task per size, task *k* on ``placement(k)``; its ids.
+
+    *placement* is a pure function of the index, so the whole node list
+    is known before the first task exists and the system grows in one
+    bulk :meth:`~repro.tasks.task.TaskSystem.add_tasks` call.
+    """
+    nodes = [placement(k) for k in range(sizes.shape[0])]
+    return system.add_tasks(sizes, nodes).tolist()
+
+
 def independent_tasks(
     system: TaskSystem,
     n: int,
@@ -101,7 +112,7 @@ def independent_tasks(
 ) -> tuple[list[int], TaskGraph]:
     """Create *n* dependency-free tasks; returns (ids, empty TaskGraph)."""
     sizes = load_sizes(n, rng, **size_kwargs)
-    ids = [system.add_task(float(s), placement(k)) for k, s in enumerate(sizes)]
+    ids = _place(system, sizes, placement)
     return ids, TaskGraph()
 
 
@@ -126,7 +137,7 @@ def pipeline_tasks(
         )
     n = n_chains * chain_length
     sizes = load_sizes(n, rng, **size_kwargs)
-    ids = [system.add_task(float(s), placement(k)) for k, s in enumerate(sizes)]
+    ids = _place(system, sizes, placement)
     graph = TaskGraph()
     for c in range(n_chains):
         base = c * chain_length
@@ -154,7 +165,7 @@ def fork_join_tasks(
         raise TaskError(f"need width >= 1 and depth >= 1, got {width}, {depth}")
     n = width * depth
     sizes = load_sizes(n, rng, **size_kwargs)
-    ids = [system.add_task(float(s), placement(k)) for k, s in enumerate(sizes)]
+    ids = _place(system, sizes, placement)
     graph = TaskGraph()
     for layer in range(depth - 1):
         for a in range(width):
@@ -183,7 +194,7 @@ def random_dag_tasks(
         raise TaskError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = ensure_rng(rng)
     sizes = load_sizes(n, rng, **size_kwargs)
-    ids = [system.add_task(float(s), placement(k)) for k, s in enumerate(sizes)]
+    ids = _place(system, sizes, placement)
     graph = TaskGraph()
     if n >= 2:
         iu, ju = np.triu_indices(n, k=1)

@@ -67,9 +67,14 @@ class TaskSystem:
     # Mutation
     # ------------------------------------------------------------------ #
 
-    def _grow(self) -> None:
+    def _reserve(self, total: int) -> None:
+        """Grow per-task storage (by doubling) until it holds *total* tasks."""
         cap = self._loads.shape[0]
-        new_cap = cap * 2
+        new_cap = cap
+        while new_cap < total:
+            new_cap *= 2
+        if new_cap == cap:
+            return
         for name in ("_loads", "_location", "_alive"):
             old = getattr(self, name)
             new = np.zeros(new_cap, dtype=old.dtype)
@@ -78,14 +83,18 @@ class TaskSystem:
             new[:cap] = old
             setattr(self, name, new)
 
-    def add_task(self, load: float, node: int) -> int:
-        """Create a task of size *load* on *node*; returns its id."""
+    def _check_new(self, load: float, node: int) -> None:
+        """Raise unless a task of size *load* may be created on *node*."""
         if load <= 0:
             raise TaskError(f"task load must be positive, got {load}")
         if not 0 <= node < self._n_nodes:
             raise TaskError(f"node {node} out of range [0, {self._n_nodes})")
+
+    def add_task(self, load: float, node: int) -> int:
+        """Create a task of size *load* on *node*; returns its id."""
+        self._check_new(load, node)
         if self._count >= self._loads.shape[0]:
-            self._grow()
+            self._reserve(self._count + 1)
         tid = self._count
         self._count += 1
         self._loads[tid] = float(load)
@@ -97,6 +106,51 @@ class TaskSystem:
         if self._floor is not None:
             self._floor_dirty.add(node)
         return tid
+
+    def add_tasks(self, loads, nodes) -> np.ndarray:
+        """Create ``len(loads)`` tasks at once; returns their ids.
+
+        Equal to ``[add_task(l, v) for l, v in zip(loads, nodes)]`` —
+        same ids, bit-equal node loads (:func:`numpy.add.at` adds in
+        task order), same per-node sets — but validated before anything
+        changes: a bad load or node raises the :class:`TaskError`
+        ``add_task`` would raise for the first offending task and leaves
+        the system untouched.
+        """
+        loads = np.asarray(loads, dtype=np.float64).reshape(-1)
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        if loads.shape != nodes.shape:
+            raise TaskError(
+                f"got {loads.shape[0]} loads for {nodes.shape[0]} nodes"
+            )
+        bad = np.flatnonzero((loads <= 0) | (nodes < 0) | (nodes >= self._n_nodes))
+        if bad.size:
+            self._check_new(float(loads[bad[0]]), int(nodes[bad[0]]))
+        k = loads.shape[0]
+        first = self._count
+        ids = np.arange(first, first + k, dtype=np.int64)
+        if k == 0:
+            return ids
+        self._reserve(first + k)
+        self._loads[first:first + k] = loads
+        self._location[first:first + k] = nodes
+        self._alive[first:first + k] = True
+        self._count += k
+        self._n_alive += k
+        np.add.at(self._node_loads, nodes, loads)
+        # One stable sort groups the ids by node, ascending within each
+        # node: the insertion order of the sequential path.
+        order = np.argsort(nodes, kind="stable")
+        by_node = nodes[order]
+        starts = np.flatnonzero(np.diff(by_node, prepend=-1))
+        ends = np.append(starts[1:], k).tolist()
+        grouped = ids[order].tolist()
+        hosts = by_node[starts].tolist()
+        for node, s, e in zip(hosts, starts.tolist(), ends):
+            self._node_tasks[node].update(grouped[s:e])
+        if self._floor is not None:
+            self._floor_dirty.update(hosts)
+        return ids
 
     def remove_task(self, tid: int) -> None:
         """Remove (complete) task *tid* (also legal while in transit)."""

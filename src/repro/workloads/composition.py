@@ -1312,8 +1312,7 @@ def _dyn_replay(topo, system, seed, horizon=120, rate=4.0,
     # system; task ids are sequential from zero in both, so completion
     # draws line up exactly.
     twin = TaskSystem(topo)
-    for tid in system.alive_ids():
-        twin.add_task(system.load_of(int(tid)), system.location_of(int(tid)))
+    twin.add_tasks(system.loads_array(), system.locations_array())
     workload = DynamicWorkload(
         arrival_rate=rate, completion_prob=completion_prob,
         rng=derive(seed, STREAMS["dynamics"]),

@@ -30,7 +30,7 @@ from repro.tasks.task import TaskSystem
 
 
 def _create(system: TaskSystem, nodes: np.ndarray, sizes: np.ndarray) -> list[int]:
-    return [system.add_task(float(s), int(v)) for v, s in zip(nodes, sizes)]
+    return system.add_tasks(sizes, nodes).tolist()
 
 
 def _far_apart_centers(topology: Topology, k: int) -> tuple[list[int], np.ndarray]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, TopologyError
-from repro.network import FaultModel, LinkAttributes, ring
+from repro.network import FaultModel, LinkAttributes, mesh, ring
 
 
 class TestTransientFaults:
@@ -73,8 +73,33 @@ class TestPermanentFaults:
             LinkAttributes.uniform(topo), rng=0, permanent={0: [(0, 1)], 1: [(0, 3)]}
         )
         fm.advance(0)
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError,
+                           match=r"killing link \(0, 3\) at round 1 would disconnect"):
             fm.advance(1)
+
+    def test_disconnect_verdict_matches_networkx(self):
+        # Random down-sets of every size on a 16x16 mesh (480 links):
+        # the CSR connected-components verdict must equal networkx's.
+        nx = pytest.importorskip("networkx")
+        topo = mesh(16, 16)
+        fm = FaultModel(LinkAttributes.uniform(topo), rng=0)
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for trial in range(120):
+            k = int(rng.integers(1, 160)) if trial % 3 else int(rng.integers(1, 6))
+            down = rng.choice(topo.n_edges, size=k, replace=False)
+            if trial % 4 == 0:  # cut a corner off outright
+                down = np.append(down, [topo.edge_id(0, 1), topo.edge_id(0, 16)])
+            downed = set(down.tolist())
+            g = nx.Graph()
+            g.add_nodes_from(range(topo.n_nodes))
+            g.add_edges_from(tuple(topo.edges[e]) for e in range(topo.n_edges)
+                             if e not in downed)
+            expected = not nx.is_connected(g)
+            got = fm._would_disconnect(dict.fromkeys(downed))
+            assert got == expected, f"trial {trial}"
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_validates_edges_eagerly(self, mesh4):
         with pytest.raises(TopologyError):

@@ -150,3 +150,79 @@ class TestAggregates:
         assert s.node_loads.sum() == pytest.approx(s.total_load)
         per_node = sum(s.node_loads[n] for n in range(16))
         assert per_node == pytest.approx(s.total_load)
+
+
+class TestBulkCreation:
+    """``add_tasks`` is the sequence of ``add_task`` calls, in one step."""
+
+    @staticmethod
+    def _state(s, k=3):
+        return (
+            s.n_created, s.n_tasks, s.node_loads.tobytes(), s.total_load,
+            [s.tasks_at(v).tolist() for v in range(s.topology.n_nodes)],
+            [s.largest_tasks_at(v, k).tolist() for v in range(s.topology.n_nodes)],
+            [sorted(t) for t in s._node_tasks], [list(t) for t in s._node_tasks],
+        )
+
+    @staticmethod
+    def _batch(rng, n_nodes, n):
+        # A wide size spread makes float sums order-sensitive.
+        loads = rng.uniform(0.01, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
+        return loads, rng.integers(0, n_nodes, n)
+
+    def test_equals_sequential_adds_on_empty_system(self, mesh4, rng):
+        loads, nodes = self._batch(rng, 16, 300)
+        seq, bulk = TaskSystem(mesh4), TaskSystem(mesh4)
+        ids = [seq.add_task(float(x), int(v)) for x, v in zip(loads, nodes)]
+        got = bulk.add_tasks(loads, nodes)
+        assert got.dtype == np.int64
+        assert got.tolist() == ids
+        assert self._state(bulk) == self._state(seq)
+        assert bulk.candidate_floor(3).tobytes() == seq.candidate_floor(3).tobytes()
+        assert bulk._loads.shape == seq._loads.shape  # same capacity growth
+
+    def test_equals_sequential_adds_with_floor_cache_live(self, mesh4, rng):
+        seq, bulk = TaskSystem(mesh4), TaskSystem(mesh4)
+        loads, nodes = self._batch(rng, 16, 40)
+        for s in (seq, bulk):
+            for x, v in zip(loads, nodes):
+                s.add_task(float(x), int(v))
+            s.remove_task(3)
+            s.move(5, 0)
+            s.candidate_floor(2)  # the cache is now live
+        loads, nodes = self._batch(rng, 16, 150)
+        ids = [seq.add_task(float(x), int(v)) for x, v in zip(loads, nodes)]
+        assert bulk.add_tasks(loads, nodes).tolist() == ids
+        assert bulk._floor_dirty == seq._floor_dirty
+        assert bulk.candidate_floor(2).tobytes() == seq.candidate_floor(2).tobytes()
+        assert self._state(bulk, 2) == self._state(seq, 2)
+
+    def test_empty_batch_is_a_no_op(self, mesh4):
+        s = TaskSystem(mesh4)
+        s.add_task(1.0, 0)
+        assert s.add_tasks([], []).tolist() == []
+        assert s.n_created == 1 and s.total_load == 1.0
+
+    @pytest.mark.parametrize("bad_index, load, node", [
+        (0, -1.0, 2), (4, 0.0, 2), (2, 1.0, 16), (3, 1.0, -1), (5, -2.0, 99),
+    ])
+    def test_bad_entry_raises_like_add_task_and_changes_nothing(self, mesh4, bad_index,
+                                                                load, node):
+        loads = np.ones(8)
+        nodes = np.arange(8)
+        loads[bad_index], nodes[bad_index] = load, node
+        s = TaskSystem(mesh4)
+        s.add_task(2.0, 1)
+        s.candidate_floor(1)
+        before = self._state(s)
+        with pytest.raises(TaskError) as expected:
+            TaskSystem(mesh4).add_task(load, node)
+        with pytest.raises(TaskError) as got:
+            s.add_tasks(loads, nodes)
+        assert str(got.value) == str(expected.value)
+        assert self._state(s) == before
+        assert not s._floor_dirty
+
+    def test_length_mismatch_rejected(self, mesh4):
+        with pytest.raises(TaskError):
+            TaskSystem(mesh4).add_tasks([1.0, 2.0], [0])
