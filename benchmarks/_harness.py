@@ -14,6 +14,8 @@ Conventions:
   stitches them into one document).
 * Shapes asserted here are the paper's qualitative claims (who wins,
   monotonicity, bounds) — never absolute numbers.
+* Writers of a shared JSON artifact (``BENCH_engine.json`` has two)
+  go through :func:`merge_json`, which replaces only the caller's keys.
 * Grid-shaped experiments go through :func:`run_grid_specs`, the
   parallel runner's entry point: serial by default, parallel when
   ``PPLB_BENCH_WORKERS`` is set (parallel results are identical to
@@ -22,6 +24,7 @@ Conventions:
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 from typing import Callable, Sequence
@@ -42,6 +45,23 @@ def emit(experiment_id: str, text: str) -> None:
     print(f"\n{text}\n")
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{experiment_id}.txt").write_text(text + "\n")
+
+
+def merge_json(path: pathlib.Path, sections: dict) -> dict:
+    """Replace *sections*' top-level keys in the JSON object at *path*.
+
+    Keys other writers own survive. The merged object goes to a sibling
+    temporary file first and is moved into place with ``os.replace``,
+    so an interrupted write never leaves a truncated artifact. Returns
+    the merged object.
+    """
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload.update(sections)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload, indent=2) + "\n")
+    os.replace(tmp, path)
+    return payload
 
 
 def run_hotspot(

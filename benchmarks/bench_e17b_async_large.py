@@ -31,14 +31,14 @@ import json
 from repro.analysis import format_table
 from repro.runner import PoolBackend, RunSpec, RunnerMetrics, run_grid
 
-from _harness import RESULTS_DIR, emit, once
+from _harness import RESULTS_DIR, emit, merge_json, once
 
 SIDE = 64  # 64x64 mesh = 4096 nodes
 N_TASKS = 8192
 EPOCHS = 6
 #: per-wake clock jitter: waves are genuinely per-node, so the async
-#: machinery (heap, wave screening, columnar buffers) is all on the
-#: hot path — the degenerate config would re-time the sync loop.
+#: machinery (event queue, wave screening) is all on the hot path —
+#: the degenerate config would re-time the sync loop.
 ASYNC_SIM_KWARGS = {"wake_jitter": 0.2}
 
 SCENARIOS = {
@@ -150,16 +150,11 @@ def test_e17b_async_at_scale(benchmark, tmp_path):
     # report` and the diffable JSON carry the 4096-node async rates
     # next to BENCH's 256-node pairs (read-modify-write: this bench
     # never clobbers BENCH's own sections).
-    RESULTS_DIR.mkdir(exist_ok=True)
     bench_path = RESULTS_DIR / "BENCH_engine.json"
-    payload = {}
-    if bench_path.exists():
-        payload = json.loads(bench_path.read_text())
-    payload["e17b"] = {
+    merge_json(bench_path, {"e17b": {
         "engine": "events-fast",
         "backend": "pool",
         "epochs": EPOCHS,
         "points": e17b_points,
-    }
-    bench_path.write_text(json.dumps(payload, indent=2) + "\n")
+    }})
     assert json.loads(bench_path.read_text())["e17b"]["points"]

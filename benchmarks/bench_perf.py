@@ -94,7 +94,7 @@ from repro.sim import (
 from repro.sim.engine import ConvergenceCriteria
 from repro.workloads import build_scenario
 
-from _harness import RESULTS_DIR, emit, once
+from _harness import RESULTS_DIR, emit, merge_json, once
 
 ALGORITHM = "pplb"
 SEED = 0
@@ -438,7 +438,7 @@ def measure() -> dict:
     )
 
     # The event engines are measured desynchronised (per-wake jitter),
-    # so the heap/wave machinery and per-node clocks are all on the hot
+    # so the event queue, wake waves and per-node clocks are all on the hot
     # path — the degenerate config would just re-time the sync loop.
     # Transient: the hotspot keeps ~10 particles in flight the whole
     # budget, so every wave pays mandatory Phase-A decisions (tracked
@@ -480,10 +480,8 @@ def measure() -> dict:
 def test_perf_baseline(benchmark):
     payload = once(benchmark, measure)
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_engine.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    # Sections other benches own (e17b) survive the refresh.
+    merge_json(RESULTS_DIR / "BENCH_engine.json", payload)
 
     rows = [
         {
@@ -595,4 +593,4 @@ def test_perf_baseline(benchmark):
     # measure(), so the CI gate hits it on every attempt).
     assert bt["speedup"] >= BATCH_SPEEDUP_FLOOR
     reread = json.loads((RESULTS_DIR / "BENCH_engine.json").read_text())
-    assert reread == payload
+    assert {key: reread[key] for key in payload} == payload

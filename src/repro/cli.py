@@ -56,8 +56,8 @@ seed replicates into one :class:`repro.sim.BatchSimulator` run
 ``leaderboard`` also take an explicit ``--batch-replicates N``),
 ``events`` the
 discrete-event asynchronous engine (:class:`repro.sim.EventSimulator`),
-``events-fast`` the same asynchronous protocol through batched wake
-waves and columnar event buffers
+``events-fast`` the same asynchronous protocol with the balancer's
+screened fast path
 (:class:`repro.sim.EventFastSimulator` — identical records)
 and ``fluid`` the divisible-load engine
 (:class:`repro.sim.FluidSimulator`) over the scenario's initial

@@ -1,11 +1,12 @@
 """Pluggable execution backends: where grid tasks actually run.
 
-The runner used to hard-wire its fan-out to a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` per :func:`run_grid`
-call — fine for one big grid, wasteful for the tuning loop's hundreds
-of small evaluation batches, where every batch re-pays worker spawn
-(cold interpreter + full ``repro`` import per process). This module
-generalises the execution seam behind :class:`ExecutionBackend`:
+The one place process-pool mechanics live: the runner, the tuner and
+the sweep harness (:func:`repro.analysis.sweep.run_sweep`) all fan out
+through :class:`ExecutionBackend`. A fresh
+:class:`~concurrent.futures.ProcessPoolExecutor` per call would be fine
+for one big grid but wasteful for the tuning loop's hundreds of small
+evaluation batches, where every batch would re-pay worker spawn (cold
+interpreter + full ``repro`` import per process). Two backends ship:
 
 * :class:`SerialBackend` — the in-process loop, bit-identical to the
   historical ``workers <= 1`` path. The reference implementation.
@@ -46,7 +47,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence, TypeVar
 
 from repro.exceptions import ConfigurationError
-from repro.runner.pool import resolve_workers
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,14 +55,37 @@ R = TypeVar("R")
 OnResult = Callable[[int, R, float], None]
 
 
+def resolve_workers(workers: int | None) -> int:
+    """Normalise a worker count (None/0 -> all cores, floor 1).
+
+    A non-empty ``PPLB_WORKERS`` environment variable *pins* the width
+    for every entry point that resolves through here (the runner, the
+    sweep harness, the execution backends, tuning) — so CI and the
+    smoke scripts can fix parallelism without threading a flag through
+    every call site. Semantics match the argument: ``0`` means one per
+    core, anything else is used directly (floor 1).
+    """
+    env = os.environ.get("PPLB_WORKERS")
+    if env:
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigurationError(
+                f"PPLB_WORKERS must be an integer (0 = one per core), "
+                f"got {env!r}"
+            ) from None
+    if workers is None or workers == 0:
+        return max(os.cpu_count() or 1, 1)
+    return max(int(workers), 1)
+
+
 class _ChunkCall:
     """Picklable chunk task: run *fn* over a slice of items, timed.
 
     Returns ``(worker_pid, [(result, task_seconds), ...])`` — the PID
     is how the parent counts *actual* process spawns (a reused worker
     keeps its PID), and the per-item clock runs inside the worker, so
-    the timings exclude queueing and transport exactly like
-    :class:`~repro.runner.pool._TimedCall`.
+    the timings exclude queueing and transport.
     """
 
     __slots__ = ("fn", "items")
@@ -171,7 +194,7 @@ class PoolBackend(ExecutionBackend):
     ----------
     workers:
         Pool width (``0``/``None`` = one per core, via
-        :func:`~repro.runner.pool.resolve_workers`, so the
+        :func:`resolve_workers`, so the
         ``PPLB_WORKERS`` env override applies here too).
     chunk_size:
         Items per submitted chunk; default splits each call into

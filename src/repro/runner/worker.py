@@ -13,8 +13,8 @@ synchronous :class:`~repro.sim.Simulator`, ``"rounds-fast"`` its
 vectorised twin :class:`~repro.sim.FastSimulator` (identical records,
 array fast path for large N), ``"events"`` the asynchronous
 :class:`~repro.sim.EventSimulator` and ``"events-fast"`` its batched
-twin :class:`~repro.sim.EventFastSimulator` (identical records,
-columnar event buffers). The task engines receive whatever
+twin :class:`~repro.sim.EventFastSimulator` (identical records, the
+balancer's screened fast path). The task engines receive whatever
 extras the scenario carries (per-node speeds, a churn process), so a
 scenario means the same workload under any of them. ``"fluid"`` builds
 the divisible-load :class:`~repro.sim.FluidSimulator` over the
@@ -53,7 +53,7 @@ from repro.sim import (
     SimulationResult,
     Simulator,
 )
-from repro.workloads import build_scenario
+from repro.workloads import Scenario, build_scenario
 
 #: spec.engine -> task-granular simulator class (validated upstream by
 #: RunSpec; "fluid" dispatches separately below).
@@ -63,6 +63,23 @@ _ENGINE_CLASSES = {
     "events": EventSimulator,
     "events-fast": EventFastSimulator,
 }
+
+
+def _sim_kwargs(spec: RunSpec, scenario: Scenario) -> dict:
+    """Task-engine keyword arguments for *spec* on its built scenario.
+
+    Scenario-carried extras are defaults; explicit ``sim_kwargs`` win (a
+    spec may legitimately override e.g. node_speeds or dynamic).
+    """
+    return {
+        "links": scenario.links,
+        "dynamic": scenario.dynamic,
+        "node_speeds": scenario.node_speeds,
+        "seed": spec.seed,
+        "recorder": spec.recorder,
+        "probe": spec.probe,
+        **spec.sim_kwargs,
+    }
 
 
 def execute_spec(spec: RunSpec) -> SimulationResult:
@@ -90,18 +107,8 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
             f"unknown engine {spec.engine!r}; available: "
             f"{sorted([*_ENGINE_CLASSES, 'fluid'])}"
         )
-    # Scenario-carried extras are defaults; explicit sim_kwargs win (a
-    # spec may legitimately override e.g. node_speeds or dynamic).
-    sim_kwargs: dict = {
-        "links": scenario.links,
-        "dynamic": scenario.dynamic,
-        "node_speeds": scenario.node_speeds,
-        "seed": spec.seed,
-        "recorder": spec.recorder,
-        "probe": spec.probe,
-        **spec.sim_kwargs,
-    }
-    sim = engine_cls(scenario.topology, scenario.system, balancer, **sim_kwargs)
+    sim = engine_cls(scenario.topology, scenario.system, balancer,
+                     **_sim_kwargs(spec, scenario))
     return sim.run(max_rounds=spec.max_rounds)
 
 
@@ -140,17 +147,9 @@ def execute_batch(specs: Sequence[RunSpec]) -> list[SimulationResult]:
         if topology is None:
             topology = scenario.topology
         balancer = make_balancer(spec.algorithm, **spec.algorithm_kwargs)
-        sim_kwargs: dict = {
-            "links": scenario.links,
-            "dynamic": scenario.dynamic,
-            "node_speeds": scenario.node_speeds,
-            "seed": spec.seed,
-            "recorder": spec.recorder,
-            "probe": spec.probe,
-            **spec.sim_kwargs,
-        }
         sims.append(FastSimulator(
-            scenario.topology, scenario.system, balancer, **sim_kwargs
+            scenario.topology, scenario.system, balancer,
+            **_sim_kwargs(spec, scenario),
         ))
     return BatchSimulator(sims).run(max_rounds=first.max_rounds)
 

@@ -16,8 +16,8 @@ start; balancers observe the state and order one-hop migrations.
   stragglers), latency-delayed transfers, results sampled at epoch
   boundaries. Degenerates exactly to :class:`Simulator` under unit
   clocks / zero latency / uniform cadence.
-* :class:`EventFastSimulator` — the same asynchronous protocol with the
-  vectorised fast path enabled and columnar event buffers
+* :class:`EventFastSimulator` — the same asynchronous protocol and
+  event queue with the vectorised fast path enabled
   (``engine="events-fast"``); differentially tested to reproduce
   :class:`EventSimulator` bit for bit on every clock model.
 * :class:`FluidSimulator` — divisible-load simulation for the diffusion-

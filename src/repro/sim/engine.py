@@ -155,19 +155,6 @@ class Simulator(TaskStateMixin, RoundDriver):
         recorder: RecorderSpec = "full",
         probe: ProbeSpec = "null",
     ):
-        if system.topology is not topology:
-            raise ConfigurationError("task system was built for a different topology")
-        if node_speeds is not None:
-            node_speeds = np.asarray(node_speeds, dtype=np.float64)
-            if node_speeds.shape != (topology.n_nodes,):
-                raise ConfigurationError(
-                    f"node_speeds must have shape ({topology.n_nodes},), got "
-                    f"{node_speeds.shape}"
-                )
-            if (node_speeds <= 0).any():
-                raise ConfigurationError("node speeds must be positive")
-        if link_capacity < 1:
-            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
         if isinstance(transfer_latency, str):
             if transfer_latency != "size":
                 raise ConfigurationError(
@@ -178,53 +165,21 @@ class Simulator(TaskStateMixin, RoundDriver):
             raise ConfigurationError(
                 f"transfer_latency must be >= 0, got {transfer_latency}"
             )
-        self.topology = topology
-        self.system = system
-        self.balancer = balancer
-        self.links = links if links is not None else LinkAttributes.uniform(topology)
-        if self.links.topology is not topology:
-            raise ConfigurationError("link attributes were built for a different topology")
-        self.fault_model = fault_model
-        self.task_graph = task_graph
-        self.resources = resources
-        self.dynamic = dynamic
-        self.link_capacity = link_capacity
+        self._init_task_state(
+            topology, system, balancer, links, fault_model, task_graph,
+            resources, dynamic, link_capacity, c1, e0, seed, criteria,
+            node_speeds, recorder, probe,
+        )
         self.transfer_latency = transfer_latency
-        self.criteria = criteria
         self.track_journeys = track_journeys
-        self.node_speeds = node_speeds
         # wire: arrival round -> list of (task id, destination node)
         self._wire: dict[int, list[tuple[int, int]]] = {}
-        self.rng = ensure_rng(seed)
-        self.link_costs = link_costs(self.links, c1=c1, e0=e0)
-        self._all_up = np.ones(topology.n_edges, dtype=bool)
         # journey tracking: task id -> (origin node, hops so far)
         self.task_hops: dict[int, int] = {}
         self.task_origin: dict[int, int] = {}
         self._rounds_done = 0  # global round counter across chained runs
-        self.probe = make_probe(probe)
-        # The loop reaches its engine through a weak proxy: no sim <-> loop
-        # cycle, so a finished run's arrays are freed by refcount, not
-        # whenever the cyclic collector next runs.
-        self._loop = SimulationLoop(weakref.proxy(self), recorder=recorder,
-                                    probe=self.probe)
 
     # ------------------------------------------------------------------ #
-
-    def _context(self, round_index: int, up_mask: np.ndarray) -> BalanceContext:
-        return BalanceContext(
-            topology=self.topology,
-            system=self.system,
-            links=self.links,
-            link_costs=self.link_costs,
-            up_mask=up_mask,
-            round_index=round_index,
-            rng=self.rng,
-            task_graph=self.task_graph,
-            resources=self.resources,
-            node_speeds=self.node_speeds,
-            probe=self.probe if self.probe.enabled else None,
-        )
 
     def _latency_of(self, load: float, eid: int) -> int:
         if self.transfer_latency == 0:
@@ -238,9 +193,7 @@ class Simulator(TaskStateMixin, RoundDriver):
     def _deliver_due(self, round_index: int) -> int:
         """Land tasks whose transit completes at *round_index*."""
         due = self._wire.pop(round_index, [])
-        for tid, dest in due:
-            if self.system.is_alive(tid):  # may have completed on the wire
-                self.system.deliver(tid, dest)
+        self._land(due)
         return len(due)
 
     def _apply(
@@ -253,14 +206,7 @@ class Simulator(TaskStateMixin, RoundDriver):
         heat = 0.0
         blocked = 0
         for m in migrations:
-            if not self.system.is_alive(m.task_id):
-                raise SimulationError(f"balancer ordered a move of dead task {m.task_id}")
-            loc = self.system.location_of(m.task_id)
-            if loc != m.src:
-                raise SimulationError(
-                    f"task {m.task_id} is at node {loc}, not at claimed source {m.src}"
-                )
-            eid = self.topology.edge_id(m.src, m.dst)  # raises on non-edges
+            eid = self._order_edge(m)
             if not up_mask[eid]:
                 # A fault-oblivious balancer tried a dead link: the
                 # transfer simply does not happen this round.
@@ -404,10 +350,7 @@ class FastSimulator(Simulator):
     ``tests/sim/test_fast_equivalence.py``.
     """
 
-    def _context(self, round_index: int, up_mask: np.ndarray) -> BalanceContext:
-        ctx = super()._context(round_index, up_mask)
-        ctx.fast = True
-        return ctx
+    fast = True
 
 
 class FluidSimulator(RoundDriver):

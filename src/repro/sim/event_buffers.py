@@ -1,13 +1,10 @@
-"""Columnar event buffers for the vectorised event engine.
+"""Columnar event stores: the event queue of the asynchronous engines.
 
-The scalar :class:`~repro.sim.events.EventSimulator` keeps every
-pending event as a Python tuple on a ``heapq`` — one object per wake,
-arrival and epoch marker, compared element-wise on every push and pop.
-At large N the heap churn alone costs more than the balancing decisions
-it schedules. The ``events-fast`` engine replaces that heap with two
-columnar stores in the spirit of the PR 4
-:class:`~repro.sim.results.RoundLog` (one preallocated, geometrically
-grown NumPy array per field, no per-event Python objects):
+:class:`~repro.sim.events.EventSimulator` (and ``events-fast``, which
+shares its loop) keeps pending events in two columnar stores in the
+spirit of the :class:`~repro.sim.results.RoundLog` (one preallocated,
+geometrically grown NumPy array per field, no per-event Python
+objects):
 
 * :class:`WakeSchedule` — the next wake time of every node, one slot
   per node. A *wave* (all clocks firing at one instant) is a single
@@ -15,12 +12,11 @@ grown NumPy array per field, no per-event Python objects):
 * :class:`ArrivalBuffer` — in-flight transfers as parallel
   ``(when, rank, task_id, dest)`` columns with amortised-O(1) append.
 
-Both stores reproduce the heap's ordering contract exactly: events are
-consumed in ``(time, insertion order)`` order, where the insertion
-*rank* is a monotone counter standing in for the heap's tie-breaking
-sequence number. That is what lets ``events-fast`` replay the scalar
-engine's schedule bit for bit (``tests/sim/
-test_events_fast_equivalence.py``).
+Both stores consume events in ``(time, insertion order)`` order, where
+the insertion *rank* is a monotone counter — the order of a ``heapq``
+of ``(time, priority, seq, payload)`` tuples within one priority class.
+``tests/sim/test_event_golden.py`` drives both stores against such a
+heap through random operation sequences.
 """
 
 from __future__ import annotations
@@ -38,12 +34,11 @@ _NO_RANK = np.iinfo(np.int64).max
 class WakeSchedule:
     """Per-node next-wake times as one columnar array.
 
-    The scalar engine's invariant — exactly one pending wake per node —
-    makes the wake "heap" a fixed-width table: ``times[i]`` is node
-    *i*'s next firing instant and ``ranks[i]`` the order it was
-    scheduled in (the heap's sequence-number tie-break). A wave is
-    every node whose time equals the minimum, in rank order — the same
-    batch the scalar loop assembles by popping equal-time entries.
+    The engine's invariant — exactly one pending wake per node — makes
+    the wake queue a fixed-width table: ``times[i]`` is node *i*'s next
+    firing instant and ``ranks[i]`` the order it was scheduled in (the
+    tie-break). A wave is every node whose time equals the minimum, in
+    rank order.
     """
 
     __slots__ = ("_times", "_ranks", "_counter")
@@ -55,7 +50,7 @@ class WakeSchedule:
 
     def schedule_all(self, when: float) -> None:
         """Schedule every node at *when*, ranked in node-id order (the
-        round-0 seeding: the scalar engine pushes node 0..n−1)."""
+        round-0 seeding)."""
         n = self._times.shape[0]
         self._times[:] = when
         self._ranks[:] = np.arange(n, dtype=np.int64)
@@ -68,8 +63,7 @@ class WakeSchedule:
         return float(self._times.min())
 
     def pop_wave(self, when: float) -> np.ndarray:
-        """Remove and return every node firing at *when*, in rank order
-        (= the order the scalar heap would pop them)."""
+        """Remove and return every node firing at *when*, in rank order."""
         idx = np.nonzero(self._times == when)[0]
         if idx.shape[0] == 1:  # jittered clocks: almost every wave
             nodes = idx
@@ -81,7 +75,7 @@ class WakeSchedule:
 
     def schedule(self, nodes: np.ndarray, times: np.ndarray) -> None:
         """Schedule *nodes* at *times*, ranks assigned in array order
-        (the scalar engine re-pushes a wave's nodes in wave order)."""
+        (the engine reschedules a wave's nodes in wave order)."""
         k = len(nodes)
         self._times[nodes] = times
         self._ranks[nodes] = np.arange(self._counter, self._counter + k, dtype=np.int64)
@@ -94,9 +88,7 @@ class ArrivalBuffer:
     Append-heavy and small (only latency-delayed transfers live here),
     so the store is unsorted columns with the :class:`RoundLog` growth
     discipline; consumption order — earliest ``when`` first, insertion
-    rank breaking ties — is recovered at pop time by a masked argmin,
-    which matches the heap's ``(when, seq)`` ordering for the arrival
-    priority class.
+    rank breaking ties — is recovered at pop time by a masked argmin.
     """
 
     __slots__ = ("_when", "_rank", "_tid", "_dest", "_n", "_counter", "_capacity")

@@ -1,20 +1,20 @@
 """The discrete-event asynchronous simulation engine.
 
 :class:`EventSimulator` drops the synchronous-round assumption of
-:class:`repro.sim.engine.Simulator`: time is continuous, driven by a
-heap-based event queue, and every node has its *own* clock. A node
-wakes on its own balancing cadence (heterogeneous speed factors,
-per-wake jitter, optional straggler slowdowns), observes the system
-through the same :class:`~repro.interfaces.BalanceContext` snapshot,
-and issues the same one-hop :class:`~repro.interfaces.Migration`
-orders — so every registered :class:`~repro.interfaces.Balancer` runs
-unchanged on both engines.
+:class:`repro.sim.engine.Simulator`: time is continuous and every node
+has its *own* clock. A node wakes on its own balancing cadence
+(heterogeneous speed factors, per-wake jitter, optional straggler
+slowdowns), observes the system through the same
+:class:`~repro.interfaces.BalanceContext` snapshot, and issues the same
+one-hop :class:`~repro.interfaces.Migration` orders — so every
+registered :class:`~repro.interfaces.Balancer` runs unchanged on both
+engines.
 
 Like the synchronous engines, the event engine is a driver for the
 shared :class:`~repro.sim.kernel.SimulationLoop`: one *epoch* of
-continuous time is one kernel round, played by draining the event heap
-up to the epoch-end marker. Event types (ordered by a fixed priority at
-equal timestamps, so the schedule is deterministic):
+continuous time is one kernel round, played by consuming events up to
+the epoch-end marker. Event types (ordered by a fixed priority at equal
+timestamps, so the schedule is deterministic):
 
 1. **epoch-begin** — link fault/repair transitions are realised
    (:class:`~repro.network.faults.FaultModel.advance`), once per epoch.
@@ -37,6 +37,16 @@ equal timestamps, so the schedule is deterministic):
    recorder (full / thin / summary — see :mod:`repro.sim.recording`)
    and checks convergence.
 
+Pending events live in the columnar stores of
+:mod:`repro.sim.event_buffers`: a :class:`WakeSchedule` (one next-wake
+slot per node; a same-instant wave is one vectorised compare-and-gather)
+and an :class:`ArrivalBuffer` (in-flight transfers as parallel
+columns). The three epoch markers are implicit in the loop. Each step
+consumes the smallest ``(time, priority)`` event, insertion order
+breaking ties inside a store, and jitter draws happen one per
+rescheduled wake in wave order. ``tests/sim/test_event_golden.py`` pins
+this schedule against fixed digests.
+
 Results are sampled at *epoch* boundaries (default epoch length 1.0, one
 epoch ⇔ one synchronous round), so they land in the existing
 :class:`~repro.sim.results.SimulationResult` shape and every downstream
@@ -51,16 +61,12 @@ reproduces :meth:`Simulator.run` exactly (same seed ⇒ identical
 per-round records). ``tests/sim/test_event_equivalence.py`` holds this
 as a property, not a hope.
 
-:class:`EventFastSimulator` (the ``events-fast`` engine) is the PR 3
-vectorisation playbook applied to this engine: the same continuous-time
-protocol with the per-event Python object churn removed. Wake
-scheduling and in-flight transfers live in columnar NumPy buffers
-(:mod:`repro.sim.event_buffers`) instead of a tuple heap, and every
-balancing wave runs with ``BalanceContext.fast`` set, so balancers with
-a batched step (PPLB) screen no-effect work through whole-graph CSR
-array expressions before entering their scalar decision bodies.
-Skipped work is exactly no-effect, no-RNG work, so ``events-fast``
-reproduces the scalar event engine bit for bit — records, RNG state,
+:class:`EventFastSimulator` (the ``events-fast`` engine) differs only
+in handing the balancer contexts with ``BalanceContext.fast`` set, so
+balancers with a batched step (PPLB) screen no-effect work through
+whole-graph CSR array expressions before entering their scalar decision
+bodies. Skipped work is exactly no-effect, no-RNG work, so
+``events-fast`` reproduces ``events`` bit for bit — records, RNG state,
 final loads — across every clock model (jitter, stragglers, cadence,
 latency); ``tests/sim/test_events_fast_equivalence.py`` holds the full
 differential suite.
@@ -68,25 +74,23 @@ differential suite.
 
 from __future__ import annotations
 
-import heapq
 import time
-import weakref
 from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.interfaces import BalanceContext, Balancer, Migration
+from repro.interfaces import Balancer, Migration
 from repro.network.faults import FaultModel
-from repro.network.links import LinkAttributes, link_costs
+from repro.network.links import LinkAttributes
 from repro.network.topology import Topology
-from repro.rng import RngLike, derive, ensure_rng
+from repro.rng import RngLike, derive
 from repro.sim.engine import ConvergenceCriteria
 from repro.sim.event_buffers import ArrivalBuffer, WakeSchedule
-from repro.sim.kernel import RoundDriver, RoundStats, SimulationLoop, TaskStateMixin
+from repro.sim.kernel import RoundDriver, RoundStats, TaskStateMixin
 from repro.sim.recording import RecorderSpec
 from repro.sim.results import SimulationResult
-from repro.sim.telemetry import ProbeSpec, make_probe
+from repro.sim.telemetry import ProbeSpec
 from repro.tasks.resources import ResourceMap
 from repro.tasks.task import TaskSystem
 from repro.tasks.task_graph import TaskGraph
@@ -184,10 +188,6 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         recorder: RecorderSpec = "full",
         probe: ProbeSpec = "null",
     ):
-        if system.topology is not topology:
-            raise ConfigurationError("task system was built for a different topology")
-        if link_capacity < 1:
-            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
         if isinstance(transfer_latency, str):
             if transfer_latency != "size":
                 raise ConfigurationError(
@@ -208,18 +208,16 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             raise ConfigurationError(
                 f"wake_jitter must be in [0, 1), got {wake_jitter}"
             )
+        self._init_task_state(
+            topology, system, balancer, links, fault_model, task_graph,
+            resources, dynamic, link_capacity, c1, e0, seed, criteria,
+            node_speeds, recorder, probe,
+        )
         n = topology.n_nodes
-        if node_speeds is not None:
-            node_speeds = np.asarray(node_speeds, dtype=np.float64)
-            if node_speeds.shape != (n,):
-                raise ConfigurationError(
-                    f"node_speeds must have shape ({n},), got {node_speeds.shape}"
-                )
-            if (node_speeds <= 0).any():
-                raise ConfigurationError("node speeds must be positive")
         if clock_speeds is None:
             clock_speeds = (
-                node_speeds.copy() if node_speeds is not None else np.ones(n)
+                self.node_speeds.copy() if self.node_speeds is not None
+                else np.ones(n)
             )
         else:
             clock_speeds = np.asarray(clock_speeds, dtype=np.float64).copy()
@@ -244,26 +242,12 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                     )
                 clock_speeds[node] /= factor
 
-        self.topology = topology
-        self.system = system
-        self.balancer = balancer
-        self.links = links if links is not None else LinkAttributes.uniform(topology)
-        if self.links.topology is not topology:
-            raise ConfigurationError("link attributes were built for a different topology")
-        self.fault_model = fault_model
-        self.task_graph = task_graph
-        self.resources = resources
-        self.dynamic = dynamic
-        self.link_capacity = link_capacity
         self.transfer_latency = transfer_latency
         self.latency_scale = float(latency_scale)
-        self.criteria = criteria
-        self.node_speeds = node_speeds
         self.cadence = float(cadence)
         self.clock_speeds = clock_speeds
         self.wake_jitter = float(wake_jitter)
         self.epoch = float(epoch)
-        self.rng = ensure_rng(seed)
         # Jitter draws must not touch the balancer's context stream: a
         # Generator seed is *spawned* (advances only its spawn counter,
         # never the bit stream the balancer consumes); plain seeds get
@@ -274,36 +258,14 @@ class EventSimulator(TaskStateMixin, RoundDriver):
             self._clock_rng = seed.spawn(1)[0]
         else:
             self._clock_rng = derive(seed, _CLOCK_STREAM)
-        self.link_costs = link_costs(self.links, c1=c1, e0=e0)
-        self._all_up = np.ones(topology.n_edges, dtype=bool)
         self._periods = self.cadence / self.clock_speeds
 
         self.events_processed = 0
         self.wakes_per_node = np.zeros(n, dtype=np.int64)
         self.now = 0.0
-        self.probe = make_probe(probe)
-        self._loop = SimulationLoop(weakref.proxy(self), recorder=recorder,
-                                    probe=self.probe)
+        self._arrivals = ArrivalBuffer()
 
     # ------------------------------------------------------------------ #
-
-    def _context(
-        self, epoch_index: int, up_mask: np.ndarray, awake: Optional[np.ndarray]
-    ) -> BalanceContext:
-        return BalanceContext(
-            topology=self.topology,
-            system=self.system,
-            links=self.links,
-            link_costs=self.link_costs,
-            up_mask=up_mask,
-            round_index=epoch_index,
-            rng=self.rng,
-            task_graph=self.task_graph,
-            resources=self.resources,
-            node_speeds=self.node_speeds,
-            awake=awake,
-            probe=self.probe if self.probe.enabled else None,
-        )
 
     def _latency_of(self, load: float, eid: int) -> float:
         if self.transfer_latency == 0:
@@ -321,13 +283,9 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         j = self.wake_jitter
         return base * float(self._clock_rng.uniform(1.0 - j, 1.0 + j))
 
-    def _push(self, when: float, priority: int, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, priority, self._seq, payload))
-
     # ------------------------------------------------------------------ #
 
-    def _wave(self, t: float, nodes: list[int], up_mask: np.ndarray) -> None:
+    def _wave(self, t: float, nodes: np.ndarray, up_mask: np.ndarray) -> None:
         """One balancing wave: every node whose clock fired at *t*."""
         probe = self.probe
         traced = probe.enabled
@@ -375,14 +333,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                 # pull (receiver-initiated, e.g. work stealing).
                 self._ep_asleep += 1
                 continue
-            if not self.system.is_alive(m.task_id):
-                raise SimulationError(f"balancer ordered a move of dead task {m.task_id}")
-            loc = self.system.location_of(m.task_id)
-            if loc != m.src:
-                raise SimulationError(
-                    f"task {m.task_id} is at node {loc}, not at claimed source {m.src}"
-                )
-            eid = self.topology.edge_id(m.src, m.dst)  # raises on non-edges
+            eid = self._order_edge(m)
             if not up_mask[eid]:
                 self._ep_blocked += 1
                 continue
@@ -408,7 +359,7 @@ class EventSimulator(TaskStateMixin, RoundDriver):
                 self.system.move(m.task_id, m.dst)
             else:
                 self.system.send_to_transit(m.task_id)
-                self._push(t + latency, _ARRIVAL, (m.task_id, m.dst))
+                self._arrivals.push(t + latency, m.task_id, m.dst)
             self._ep_applied += 1
             self._ep_work += load * float(self.link_costs[eid])
             self._ep_heat += m.heat
@@ -418,20 +369,14 @@ class EventSimulator(TaskStateMixin, RoundDriver):
 
     def prepare(self, reset: bool) -> int:
         """Full reset (the event engine does not support continuation)."""
-        self.balancer.reset(self._context(0, self._all_up, None))
+        self.balancer.reset(self._context(0, self._all_up))
         self.events_processed = 0
         self.wakes_per_node[:] = 0
-        # Land anything still on the wire from a previous run (arrival
-        # events left in the old heap) so a fresh run starts with every
-        # task on a node — the event-engine analogue of the synchronous
-        # engine draining its wire dict on reset.
-        for when, priority, _seq, payload in sorted(getattr(self, "_heap", [])):
-            if priority == _ARRIVAL:
-                tid, dest = payload
-                if self.system.is_alive(tid):
-                    self.system.deliver(tid, dest)
-        self._heap: list[tuple] = []
-        self._seq = 0
+        # Land anything still on the wire from a previous run so a fresh
+        # run starts with every task on a node — the event-engine
+        # analogue of the synchronous engine draining its wire dict.
+        self._land(self._arrivals.drain_in_order())
+        self._wakes = WakeSchedule(self.topology.n_nodes)
         self._epoch_index = 0
         self._ep_applied = 0
         self._ep_work = 0.0
@@ -445,180 +390,14 @@ class EventSimulator(TaskStateMixin, RoundDriver):
         return 0
 
     def play_round(self, round_index: int) -> RoundStats:
-        """Drain the event heap through epoch *round_index*.
+        """Consume events through epoch *round_index*.
 
-        One epoch spans ``epoch`` simulation-time units; its boundary
-        events (begin/churn/end) are scheduled here, wakes and arrivals
-        re-schedule themselves. Returns when the epoch-end marker pops,
-        handing the epoch's accumulated counters to the kernel.
-        """
-        when = round_index * self.epoch
-        self._push(when, _EPOCH_BEGIN, round_index)
-        if self.dynamic is not None:
-            self._push(when, _CHURN, round_index)
-        self._push(when, _EPOCH_END, round_index)
-        if round_index == 0:
-            for node in range(self.topology.n_nodes):
-                self._push(0.0, _WAKE, node)
-
-        events0 = self.events_processed
-        heap = self._heap
-        while heap:
-            t, priority, _seq, payload = heapq.heappop(heap)
-            self.now = t
-            self.events_processed += 1
-
-            if priority == _WAKE:
-                # Batch every clock that fires at this exact instant
-                # into one wave (the degenerate config batches *all*
-                # nodes, reproducing the synchronous round).
-                nodes = [payload]
-                while heap and heap[0][0] == t and heap[0][1] == _WAKE:
-                    nodes.append(heapq.heappop(heap)[3])
-                    self.events_processed += 1
-                self._wave(t, nodes, self._up_mask)
-                for node in nodes:
-                    self._push(t + self._next_period(node), _WAKE, node)
-
-            elif priority == _ARRIVAL:
-                tid, dest = payload
-                if self.system.is_alive(tid):  # may have completed on the wire
-                    self.system.deliver(tid, dest)
-
-            elif priority == _EPOCH_BEGIN:
-                self._epoch_index = payload
-                if self.fault_model is not None:
-                    self.fault_model.advance(payload)
-                    self._up_mask = self.fault_model.up_mask()
-
-            elif priority == _CHURN:
-                self._churn()
-
-            else:  # _EPOCH_END — the kernel's observation point
-                if self.probe.enabled:
-                    self.probe.incr(
-                        "engine.heap_pops", self.events_processed - events0
-                    )
-                stats = RoundStats(
-                    applied=self._ep_applied,
-                    work=self._ep_work,
-                    heat=self._ep_heat,
-                    blocked=self._ep_blocked,
-                    asleep=self._ep_asleep,
-                    n_tasks=self.system.n_tasks,
-                )
-                self._ep_applied = 0
-                self._ep_work = 0.0
-                self._ep_heat = 0.0
-                self._ep_blocked = 0
-                self._ep_asleep = 0
-                self._ep_link_used[:] = 0
-                return stats
-
-        raise SimulationError(
-            "event heap drained without reaching an epoch-end marker"
-        )  # pragma: no cover - wakes always re-schedule themselves
-
-    # ------------------------------------------------------------------ #
-
-    def run(self, max_rounds: int = 1000) -> SimulationResult:
-        """Simulate up to *max_rounds* epochs (early exit on convergence).
-
-        One epoch spans ``epoch`` simulation-time units and produces one
-        recorded round, so ``max_rounds`` plays the same budget role as
-        in the synchronous engine.
-        """
-        return self._loop.run(max_rounds)
-
-
-class EventFastSimulator(EventSimulator):
-    """The ``events-fast`` engine: :class:`EventSimulator`, vectorised.
-
-    Two changes, both pure evaluation-order optimisations:
-
-    * Every :class:`~repro.interfaces.BalanceContext` carries
-      ``fast=True``, so balancers with a batched step (PPLB) screen
-      no-effect wakes — the ``candidate_floor`` × ``mu_s_base``
-      monotone bound plus the batched Phase-A feasibilities — before
-      entering their scalar decision bodies. The screen is sound (it
-      only skips work the scalar sweep would have done with no effect
-      and no RNG use), and a balancer whose configuration it cannot
-      screen soundly (friction jitter draws RNG per *evaluated*
-      candidate) detects that itself and falls back to the scalar
-      decision path, keeping equivalence rather than speed.
-    * The per-event tuple heap is replaced by the columnar stores of
-      :mod:`repro.sim.event_buffers`: a :class:`WakeSchedule` (one
-      next-wake slot per node; a same-instant wave is one vectorised
-      compare-and-gather) and an :class:`ArrivalBuffer` (in-flight
-      transfers as parallel columns). Both consume events in the
-      heap's exact ``(time, priority, insertion)`` order, and jitter
-      draws still happen one per rescheduled wake in wave order, so
-      the clock RNG stream is untouched.
-
-    The engine therefore reproduces :class:`EventSimulator` bit for bit
-    on every configuration — records, RNG state, final loads, event
-    counts (``tests/sim/test_events_fast_equivalence.py`` is the
-    differential anchor) — while running the large-N async studies an
-    order of magnitude faster (the ``events_fast`` block of
-    ``benchmarks/results/BENCH_engine.json``).
-    """
-
-    def _context(
-        self, epoch_index: int, up_mask: np.ndarray, awake: Optional[np.ndarray]
-    ) -> BalanceContext:
-        ctx = super()._context(epoch_index, up_mask, awake)
-        ctx.fast = True
-        return ctx
-
-    def _push(self, when: float, priority: int, payload) -> None:
-        """Route events into the columnar stores (no heap exists here).
-
-        The only events pushed from shared code paths are the
-        latency-delayed arrivals scheduled by :meth:`_apply`; wakes and
-        epoch markers are handled inline by :meth:`play_round`.
-        """
-        if priority != _ARRIVAL:  # pragma: no cover - engine invariant
-            raise SimulationError(
-                f"events-fast scheduled a non-arrival event (priority {priority})"
-            )
-        tid, dest = payload
-        self._arrivals.push(when, tid, dest)
-
-    # ------------------------- kernel driver hooks -------------------- #
-
-    def prepare(self, reset: bool) -> int:
-        """Full reset, landing any leftover in-flight transfers first
-        (the columnar analogue of the scalar engine's heap drain)."""
-        self.balancer.reset(self._context(0, self._all_up, None))
-        self.events_processed = 0
-        self.wakes_per_node[:] = 0
-        arrivals = getattr(self, "_arrivals", None)
-        if arrivals is not None:
-            for tid, dest in arrivals.drain_in_order():
-                if self.system.is_alive(tid):
-                    self.system.deliver(tid, dest)
-        self._arrivals = ArrivalBuffer()
-        self._wakes = WakeSchedule(self.topology.n_nodes)
-        self._epoch_index = 0
-        self._ep_applied = 0
-        self._ep_work = 0.0
-        self._ep_heat = 0.0
-        self._ep_blocked = 0
-        self._ep_asleep = 0
-        self._ep_link_used = np.zeros(self.topology.n_edges, dtype=np.int64)
-        self._up_mask = self._all_up
-        return 0
-
-    def play_round(self, round_index: int) -> RoundStats:
-        """Drain the columnar event stores through epoch *round_index*.
-
-        Identical schedule to the scalar :meth:`EventSimulator.play_round`:
-        each iteration consumes the lexicographically smallest
-        ``(time, priority)`` event among the pending wakes, arrivals and
-        this epoch's begin/churn/end markers. Priorities are distinct
-        per candidate class, so the minimum is unambiguous and equals
-        the heap's pop order; insertion ranks inside the stores
-        reproduce the heap's sequence-number tie-break.
+        One epoch spans ``epoch`` simulation-time units. Each iteration
+        consumes the lexicographically smallest ``(time, priority)``
+        event among the pending wakes, arrivals and this epoch's
+        begin/churn/end markers; priorities are distinct per event
+        class, so the minimum is unambiguous. Returns when the epoch-end
+        marker is consumed, handing the epoch's counters to the kernel.
         """
         when = round_index * self.epoch
         if round_index == 0:
@@ -626,7 +405,6 @@ class EventFastSimulator(EventSimulator):
         events0 = self.events_processed
         wakes = self._wakes
         arrivals = self._arrivals
-        system = self.system
         begin_pending = True
         churn_pending = self.dynamic is not None
 
@@ -646,25 +424,23 @@ class EventFastSimulator(EventSimulator):
             self.now = t
 
             if priority == _WAKE:
+                # Every clock that fires at this exact instant balances
+                # as one wave (the degenerate config batches *all*
+                # nodes, reproducing the synchronous round).
                 wave = wakes.pop_wave(t)
-                nodes = [int(node) for node in wave]
-                self.events_processed += len(nodes)
-                self._wave(t, nodes, self._up_mask)
+                self.events_processed += len(wave)
+                self._wave(t, wave, self._up_mask)
                 if self._clock_rng is None:
                     wakes.schedule(wave, t + self._periods[wave])
                 else:
-                    # One jitter draw per rescheduled wake, in wave
-                    # order — the scalar re-push loop's RNG sequence.
-                    jittered = np.empty(len(nodes), dtype=np.float64)
-                    for k, node in enumerate(nodes):
-                        jittered[k] = t + self._next_period(node)
-                    wakes.schedule(wave, jittered)
+                    # One jitter draw per rescheduled wake, in wave order.
+                    wakes.schedule(wave, np.array(
+                        [t + self._next_period(node) for node in wave.tolist()]
+                    ))
 
             elif priority == _ARRIVAL:
                 self.events_processed += 1
-                tid, dest = arrivals.pop_earliest()
-                if system.is_alive(tid):  # may have completed on the wire
-                    system.deliver(tid, dest)
+                self._land([arrivals.pop_earliest()])
 
             elif priority == _EPOCH_BEGIN:
                 self.events_processed += 1
@@ -691,7 +467,7 @@ class EventFastSimulator(EventSimulator):
                     heat=self._ep_heat,
                     blocked=self._ep_blocked,
                     asleep=self._ep_asleep,
-                    n_tasks=system.n_tasks,
+                    n_tasks=self.system.n_tasks,
                 )
                 self._ep_applied = 0
                 self._ep_work = 0.0
@@ -700,3 +476,34 @@ class EventFastSimulator(EventSimulator):
                 self._ep_asleep = 0
                 self._ep_link_used[:] = 0
                 return stats
+
+    # ------------------------------------------------------------------ #
+
+    def run(self, max_rounds: int = 1000) -> SimulationResult:
+        """Simulate up to *max_rounds* epochs (early exit on convergence).
+
+        One epoch spans ``epoch`` simulation-time units and produces one
+        recorded round, so ``max_rounds`` plays the same budget role as
+        in the synchronous engine.
+        """
+        return self._loop.run(max_rounds)
+
+
+class EventFastSimulator(EventSimulator):
+    """The ``events-fast`` engine: :class:`EventSimulator` with the
+    balancer's screened fast path enabled.
+
+    Every :class:`~repro.interfaces.BalanceContext` carries
+    ``fast=True``, so balancers with a batched step (PPLB) screen
+    no-effect wakes — the ``candidate_floor`` × ``mu_s_base`` monotone
+    bound plus the batched Phase-A feasibilities — before entering
+    their scalar decision bodies. The screen only skips work the scalar
+    sweep would have done with no effect and no RNG use, and a balancer
+    whose configuration it cannot screen soundly (friction jitter draws
+    RNG per *evaluated* candidate) falls back to the scalar path. The
+    engine therefore reproduces :class:`EventSimulator` bit for bit —
+    records, RNG state, final loads, event counts
+    (``tests/sim/test_events_fast_equivalence.py``).
+    """
+
+    fast = True

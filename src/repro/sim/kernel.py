@@ -31,15 +31,30 @@ from __future__ import annotations
 
 import abc
 import time
+import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.interfaces import BalanceContext
+from repro.network.links import LinkAttributes, link_costs
+from repro.rng import RngLike, ensure_rng
 from repro.sim.metrics import imbalance_summary
 from repro.sim.recording import RecorderSpec, make_recorder
 from repro.sim.results import SimulationResult
 from repro.sim.telemetry import ProbeSpec, make_probe
+
+if TYPE_CHECKING:
+    from repro.interfaces import Balancer, Migration
+    from repro.network.faults import FaultModel
+    from repro.network.topology import Topology
+    from repro.sim.engine import ConvergenceCriteria
+    from repro.tasks.resources import ResourceMap
+    from repro.tasks.task import TaskSystem
+    from repro.tasks.task_graph import TaskGraph
+    from repro.workloads.dynamic import DynamicWorkload
 
 __all__ = [
     "RoundStats",
@@ -125,11 +140,117 @@ class RoundDriver(abc.ABC):
 
 
 class TaskStateMixin:
-    """Shared task-engine state helpers (sync and event engines).
+    """Shared task-engine set-up and state helpers (sync and event
+    engines).
 
-    Expects the host to provide ``system``, ``node_speeds``,
-    ``dynamic``, ``task_graph`` and ``resources`` attributes.
+    :meth:`_init_task_state` validates and stores the constructor
+    arguments both engine families share; everything else here reads
+    the attributes it sets.
     """
+
+    #: the ``*-fast`` engines flip this: every context they hand the
+    #: balancer carries ``fast=True``.
+    fast = False
+
+    def _init_task_state(
+        self,
+        topology: Topology,
+        system: TaskSystem,
+        balancer: Balancer,
+        links: Optional[LinkAttributes],
+        fault_model: Optional[FaultModel],
+        task_graph: Optional[TaskGraph],
+        resources: Optional[ResourceMap],
+        dynamic: Optional[DynamicWorkload],
+        link_capacity: int,
+        c1: float,
+        e0: float,
+        seed: RngLike,
+        criteria: ConvergenceCriteria,
+        node_speeds: Optional[np.ndarray],
+        recorder: RecorderSpec,
+        probe: ProbeSpec,
+    ) -> None:
+        if system.topology is not topology:
+            raise ConfigurationError("task system was built for a different topology")
+        n = topology.n_nodes
+        if node_speeds is not None:
+            node_speeds = np.asarray(node_speeds, dtype=np.float64)
+            if node_speeds.shape != (n,):
+                raise ConfigurationError(
+                    f"node_speeds must have shape ({n},), got {node_speeds.shape}"
+                )
+            if (node_speeds <= 0).any():
+                raise ConfigurationError("node speeds must be positive")
+        if link_capacity < 1:
+            raise ConfigurationError(f"link_capacity must be >= 1, got {link_capacity}")
+        self.topology = topology
+        self.system = system
+        self.balancer = balancer
+        self.links = links if links is not None else LinkAttributes.uniform(topology)
+        if self.links.topology is not topology:
+            raise ConfigurationError("link attributes were built for a different topology")
+        self.fault_model = fault_model
+        self.task_graph = task_graph
+        self.resources = resources
+        self.dynamic = dynamic
+        self.link_capacity = link_capacity
+        self.criteria = criteria
+        self.node_speeds = node_speeds
+        self.rng = ensure_rng(seed)
+        self.link_costs = link_costs(self.links, c1=c1, e0=e0)
+        self._all_up = np.ones(topology.n_edges, dtype=bool)
+        self.probe = make_probe(probe)
+        # The loop reaches its engine through a weak proxy: no sim <-> loop
+        # cycle, so a finished run's arrays are freed by refcount, not
+        # whenever the cyclic collector next runs.
+        self._loop = SimulationLoop(weakref.proxy(self), recorder=recorder,
+                                    probe=self.probe)
+
+    def _context(
+        self,
+        round_index: int,
+        up_mask: np.ndarray,
+        awake: Optional[np.ndarray] = None,
+    ) -> BalanceContext:
+        return BalanceContext(
+            topology=self.topology,
+            system=self.system,
+            links=self.links,
+            link_costs=self.link_costs,
+            up_mask=up_mask,
+            round_index=round_index,
+            rng=self.rng,
+            task_graph=self.task_graph,
+            resources=self.resources,
+            node_speeds=self.node_speeds,
+            awake=awake,
+            fast=self.fast,
+            probe=self.probe if self.probe.enabled else None,
+        )
+
+    def _order_edge(self, m: Migration) -> int:
+        """Check one order's task and hop; return the link's edge id.
+
+        An order for a dead task, from the wrong node or over a
+        non-edge is a balancer bug and raises — the engine never
+        silently repairs.
+        """
+        if not self.system.is_alive(m.task_id):
+            raise SimulationError(f"balancer ordered a move of dead task {m.task_id}")
+        loc = self.system.location_of(m.task_id)
+        if loc != m.src:
+            raise SimulationError(
+                f"task {m.task_id} is at node {loc}, not at claimed source {m.src}"
+            )
+        return self.topology.edge_id(m.src, m.dst)  # raises on non-edges
+
+    def _land(self, arrivals: Iterable[tuple[int, int]]) -> None:
+        """Deliver in-transit ``(task_id, dest)`` pairs, in order."""
+        system = self.system
+        for tid, dest in arrivals:
+            if system.is_alive(tid):  # may have completed on the wire
+                system.deliver(tid, dest)
 
     def observed_loads(self) -> np.ndarray:
         """Loads normalised by speed (the metric surface)."""

@@ -10,7 +10,7 @@ every engine driver emit into — wall-time *spans* for each kernel phase
 ``wake_wave`` drains in the event engines) and structured *counters*
 from the decision bodies (Phase-A/B decisions evaluated, screen
 hit/miss rates, no-effect waves skipped, RNG draws, transfers
-issued/refused, heap vs. buffer pops).
+issued/refused, event-queue pops).
 
 Three implementations ship:
 

@@ -54,6 +54,19 @@ def _boom(x):
     return x
 
 
+def _touch_or_fail(job):
+    """Pool task: records its execution on disk; the poison item raises."""
+    out_dir, index = job
+    import pathlib
+    import time
+
+    if index == 0:
+        raise RuntimeError("poison task")
+    time.sleep(0.02)
+    pathlib.Path(out_dir, f"{index}.done").touch()
+    return index
+
+
 class TestBackendEquivalence:
     def test_serial_pool_cached_identical(self, tmp_path):
         """The tentpole differential: serial ≡ pool ≡ cached replay,
@@ -215,6 +228,20 @@ class TestFailFast:
             results, _ = backend.map_timed(_square, [1, 2, 3])
             assert results == [1, 4, 9]
             assert backend.stats()["workers_spawned"] <= 2
+        finally:
+            backend.close()
+
+    def test_worker_exception_cancels_queued_tasks(self, tmp_path):
+        backend = PoolBackend(workers=2, chunk_size=1)
+        try:
+            jobs = [(str(tmp_path), i) for i in range(40)]
+            with pytest.raises(RuntimeError, match="poison"):
+                backend.map_timed(_touch_or_fail, jobs)
+            # The poison task fails almost immediately; queued tasks
+            # must be cancelled rather than all 39 running to
+            # completion first.
+            executed = len(list(tmp_path.glob("*.done")))
+            assert executed < 39, f"{executed} tasks ran after the failure"
         finally:
             backend.close()
 

@@ -155,40 +155,6 @@ class TestMerge:
         assert row["balancer"] == "pplb"
 
 
-def _touch_or_fail(job):
-    """Pool task: records its execution on disk; the poison item raises."""
-    out_dir, index = job
-    import pathlib
-    import time
-
-    if index == 0:
-        raise RuntimeError("poison task")
-    time.sleep(0.02)
-    pathlib.Path(out_dir, f"{index}.done").touch()
-    return index
-
-
-class TestPoolFailFast:
-    def test_worker_exception_cancels_queued_tasks(self, tmp_path):
-        from repro.runner.pool import map_tasks
-
-        jobs = [(str(tmp_path), i) for i in range(40)]
-        with pytest.raises(RuntimeError, match="poison"):
-            map_tasks(_touch_or_fail, jobs, workers=2)
-        # The poison task fails almost immediately; queued tasks must be
-        # cancelled rather than all 39 running to completion first.
-        executed = len(list(tmp_path.glob("*.done")))
-        assert executed < 39, f"{executed} tasks ran after the failure"
-
-    def test_serial_exception_propagates_immediately(self, tmp_path):
-        from repro.runner.pool import map_tasks
-
-        jobs = [(str(tmp_path), i) for i in [0, 1, 2]]
-        with pytest.raises(RuntimeError, match="poison"):
-            map_tasks(_touch_or_fail, jobs, workers=1)
-        assert not list(tmp_path.glob("*.done"))
-
-
 def _sweep_experiment(n_tasks, seed):
     """Module-level (hence picklable) experiment for run_sweep tests."""
     spec = RunSpec("mesh-hotspot", "pplb", seed=seed, max_rounds=60,

@@ -19,7 +19,7 @@ from repro.runner import (
     RunSpec,
     expand_grid,
     grid_seeds,
-    map_tasks_timed,
+    make_backend,
     metrics_to_rows,
     run_grid,
 )
@@ -126,21 +126,29 @@ class TestRunnerMetrics:
                [s.label() for s in specs]
 
 
-class TestMapTasksTimed:
-    def test_serial_returns_results_and_times(self):
-        results, seconds = map_tasks_timed(abs, [-3, -2, 1])
+@pytest.fixture(params=["serial", "pool"])
+def backend(request):
+    instance = make_backend(request.param, workers=2)
+    yield instance
+    instance.close()
+
+
+class TestMapTimed:
+    def test_returns_results_and_times(self, backend):
+        results, seconds = backend.map_timed(abs, [-3, -2, 1])
         assert results == [3, 2, 1]
         assert len(seconds) == 3 and all(s >= 0 for s in seconds)
 
-    def test_callback_receives_task_seconds(self):
+    def test_callback_receives_task_seconds(self, backend):
         seen = []
-        map_tasks_timed(abs, [-1, -2],
-                        on_result=lambda i, r, s: seen.append((i, r, s)))
-        assert [(i, r) for i, r, _ in seen] == [(0, 1), (1, 2)]
+        backend.map_timed(abs, [-1, -2],
+                          on_result=lambda i, r, s: seen.append((i, r, s)))
+        # The pool reports in completion order.
+        assert sorted((i, r) for i, r, _ in seen) == [(0, 1), (1, 2)]
         assert all(s >= 0 for _, _, s in seen)
 
-    def test_empty_input(self):
-        assert map_tasks_timed(abs, []) == ([], [])
+    def test_empty_input(self, backend):
+        assert backend.map_timed(abs, []) == ([], [])
 
 
 class TestCacheStrayFiles:

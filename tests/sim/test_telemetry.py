@@ -197,15 +197,14 @@ class TestDifferentialCounters:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_events_vs_events_fast(self, seed):
-        heap = _run(EventSimulator, seed=seed, probe="counters")
+        scalar = _run(EventSimulator, seed=seed, probe="counters")
         fast = _run(EventFastSimulator, seed=seed, probe="counters")
-        assert _records(heap) == _records(fast)
-        ch, cf = (r.telemetry["counters"] for r in (heap, fast))
+        assert _records(scalar) == _records(fast)
+        ch, cf = (r.telemetry["counters"] for r in (scalar, fast))
         for name in DECISION_INVARIANT:
             assert ch.get(name, 0) == cf.get(name, 0), name
-        # Same event stream, different carrier: every heap pop has a
-        # columnar-buffer counterpart.
-        assert ch["engine.heap_pops"] == cf["engine.buffer_pops"]
+        # One event queue: both engines consume the same event stream.
+        assert ch["engine.buffer_pops"] == cf["engine.buffer_pops"]
         assert ch["engine.waves"] == cf["engine.waves"]
         assert ch["engine.wake_nodes"] == cf["engine.wake_nodes"]
 
